@@ -3,7 +3,8 @@
 Subcommands: growth, polytope, invariants, wellarranged, series, density,
 ehrhart, gammaq.  Graph inputs are pgnet/1 documents, polytope inputs are
 pgpoly/1 documents.  Exit codes: 0 success, 1 negative mathematical
-verdict (check commands), 2 usage or input errors.
+verdict (check commands), 2 usage or input errors and searches that exceed
+--max-states or --max-cycles.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import series as _series
 from .field import format_scalar, to_float
 from .geometry import LowerDimensionalHull, convex_hull, volume
 from .netfile import FormatError, emit_net, parse_net, parse_polytope
-from .quotient import (GraphError, QuotientGraph, cumulative, growth_sequence,
-                       is_strongly_connected)
+from .quotient import (GraphError, QuotientGraph, ResourceLimit, cumulative,
+                       growth_sequence, is_strongly_connected)
 from .series import FitError, IntPolynomial
 
 
@@ -196,14 +197,13 @@ def cmd_invariants(args):
     graph = _load_graph(args)
     x0 = _start_vertex(graph, args)
     cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
-    poly = _cycles.growth_polytope(graph, cycles=cyc)
-    pdata = _cycles.p_initial_data(graph, x0.cls, cycles=cyc, polytope=poly)
-    ac = _inv.asymptotic_constants(graph, x0, max_states=args.max_states)
+    ac = _inv.asymptotic_constants(graph, x0, cycles=cyc,
+                                   max_states=args.max_states)
     report = {
         "graph": graph.name,
         "start": graph.class_names[x0.cls],
-        "strongly_connected": is_strongly_connected(graph),
-        "p_initial": pdata.is_p_initial,
+        "strongly_connected": True,  # asymptotic_constants raises otherwise
+        "p_initial": ac.variant == "p-initial",
         "c1": format_scalar(ac.c1),
         "c2": format_scalar(ac.c2),
         "variant": ac.variant,
@@ -393,7 +393,8 @@ def run_command(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FormatError, GraphError, FitError, ValueError) as exc:
+    except (CliError, FormatError, GraphError, FitError, ResourceLimit,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ class QuadExt:
     def __init__(self, d: int, a, b=0):
         if d <= 0 or _is_square(d):
             raise ValueError(f"d must be a positive non-square, got {d}")
-        object.__setattr__  # no frozen dataclass; plain slots
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.d = d
@@ -166,12 +165,13 @@ def exact_floor(x) -> int:
         raise TypeError(type(x))
     if x.b == 0:
         return math.floor(x.a)
-    # floor(a) + floor(b*sqrt(d)) is within 1 of the answer; adjust exactly.
-    guess = math.floor(float(x))
-    for k in (guess - 1, guess, guess + 1):
-        if (x - k).sign() >= 0 and (x - (k + 1)).sign() < 0:
-            return k
-    raise AssertionError("float seed off by more than one")
+    # x = (A + B*sqrt(d)) / D with integers A, B != 0 and D > 0.  B*sqrt(d) is
+    # irrational, so it lies strictly between consecutive integers found by
+    # isqrt, and floor(y / D) == floor(floor(y) / D) for integer D > 0.
+    den = math.lcm(x.a.denominator, x.b.denominator)
+    a, b = int(x.a * den), int(x.b * den)
+    r = math.isqrt(b * b * x.d)
+    return (a + (r if b > 0 else -r - 1)) // den
 
 
 def exact_ceil(x) -> int:

@@ -392,10 +392,7 @@ def integer_box(lo, hi):
 
 def lattice_points(poly) -> list:
     """Integer points of a rational polytope (full- or lower-dimensional)."""
-    if isinstance(poly, LowerDimensionalHull):
-        verts = poly.vertices
-    else:
-        verts = poly.vertices
+    verts = poly.vertices
     n = len(verts[0])
     lo = tuple(min(v[c] for v in verts) for c in range(n))
     hi = tuple(max(v[c] for v in verts) for c in range(n))

@@ -11,16 +11,16 @@ P-initial cycle data (strict variant) or full-class-support distances
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
 from .cycles import enumerate_cycles, growth_polytope, nu_image, p_initial_data
 from .field import exact_ceil, scalar_sign
 from .geometry import (HalfOpenRegion, LowerDimensionalHull, gauge,
-                       integer_box, triangulate_facet, vadd, vsub)
-from .quotient import (GraphError, QuotientGraph, Vertex, ball,
+                       integer_box, region_union_box, triangulate_facet, vadd,
+                       vsub)
+from .quotient import (EdgeRecord, GraphError, QuotientGraph, Vertex, ball,
                        is_strongly_connected)
 
 
@@ -35,20 +35,24 @@ def _delta(graph, x0: Vertex, cls: int):
                 graph.position(x0))
 
 
-def edge_count_ball(graph: QuotientGraph, x0: Vertex, max_edges: int):
-    """Vertices reachable by walks with at most max_edges edges."""
-    frontier = {x0}
-    seen = {x0}
-    for _ in range(max_edges):
-        nxt = set()
-        for v in frontier:
-            for _, e in graph.out_edges(v.cls):
-                w = Vertex(e.tgt, tuple(a + b for a, b in zip(v.offset, e.vector)))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
-    return seen
+def edge_count_ball(graph: QuotientGraph, x0: Vertex, max_edges: int,
+                    max_states=10_000_000):
+    """Vertices reachable by walks with at most max_edges edges, as a dict
+    Vertex -> least number of edges."""
+    unit = replace(graph, edges=tuple(replace(e, weight=1)
+                                      for e in graph.edges))
+    return ball(unit, x0, max_edges, max_states=max_states)
+
+
+def _distances_to(graph: QuotientGraph, x0: Vertex, targets, max_states):
+    """Exact d(x0, y) for every target; GraphError if the search ends with a
+    target unsettled."""
+    dist = ball(graph, x0, None, max_states=max_states, targets=targets)
+    missing = sum(y not in dist for y in targets)
+    if missing:
+        raise GraphError(f"{missing} target vertices are unreachable from "
+                         "the start vertex")
+    return dist
 
 
 def c1(graph: QuotientGraph, x0: Vertex, polytope=None, max_states=10_000_000):
@@ -59,7 +63,7 @@ def c1(graph: QuotientGraph, x0: Vertex, polytope=None, max_states=10_000_000):
     if isinstance(polytope, LowerDimensionalHull):
         raise GraphError("growth polytope is lower-dimensional")
     c = graph.num_classes
-    targets = edge_count_ball(graph, x0, c - 1)
+    targets = edge_count_ball(graph, x0, c - 1, max_states=max_states)
     maxw = max(e.weight for e in graph.edges)
     dist = ball(graph, x0, (c - 1) * maxw, max_states=max_states)
     best = Fraction(0)
@@ -103,10 +107,7 @@ def region_from_triangulations(graph, polytope, d_map, apices=None):
 
 def vertices_in_regions(graph, x0, regions):
     """Graph vertices y with Phi(y) - Phi(x0) in the union of regions."""
-    los, his = zip(*(r.bounding_box() for r in regions))
-    n = graph.rank
-    lo = tuple(min(l[c] for l in los) for c in range(n))
-    hi = tuple(max(h[c] for h in his) for c in range(n))
+    lo, hi = region_union_box(regions)
     found = []
     for cls in range(graph.num_classes):
         delta = _delta(graph, x0, cls)
@@ -134,60 +135,48 @@ def c2(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
     d_map = {v: w for v, (w, _) in pdata.witnesses.items()}
     regions = region_from_triangulations(graph, polytope, d_map)
     targets = vertices_in_regions(graph, x0, regions)
-    gauges = {y: gauge(polytope, rel) for y, rel in targets}
-    radius = max(1, max(exact_ceil(g) for g in gauges.values()) + 1)
-    while True:
-        dist = ball(graph, x0, radius, max_states=max_states)
-        if all(y in dist for y, _ in targets):
-            break
-        radius *= 2
+    dist = _distances_to(graph, x0, [y for y, _ in targets], max_states)
     best = Fraction(0)
-    for y, _ in targets:
-        val = dist[y] - gauges[y]
+    for y, rel in targets:
+        val = dist[y] - gauge(polytope, rel)
         if scalar_sign(val - best) > 0:
             best = val
     return best
+
+
+def _support_quotient(graph: QuotientGraph, cls: int):
+    """Quotient of walks that remember their class support: its classes are
+    the (class, support mask) pairs reachable from (cls, {cls}).  Returns
+    the product graph and the index of each pair."""
+    pairs = [(cls, 1 << cls)]
+    index = {pairs[0]: 0}
+    edges = []
+    for i, (c, mask) in enumerate(pairs):  # pairs grows during the loop
+        for _, e in graph.out_edges(c):
+            nxt = (e.tgt, mask | 1 << e.tgt)
+            if nxt not in index:
+                index[nxt] = len(pairs)
+                pairs.append(nxt)
+            edges.append(EdgeRecord(i, index[nxt], e.vector, e.weight))
+    return QuotientGraph(graph.rank, tuple(pairs), tuple(edges)), index
 
 
 def support_distance(graph: QuotientGraph, x0: Vertex, targets,
                      max_states=10_000_000):
     """d'(x0, y) for each target: minimal weight of a walk from x0 to y whose
     class support is every class.  Returns dict Vertex -> int."""
+    product, index = _support_quotient(graph, x0.cls)
     full = (1 << graph.num_classes) - 1
-    want = set(targets)
-    result = {}
-    radius = graph.num_classes * max(e.weight for e in graph.edges)
-    while True:
-        start = (x0.cls, x0.offset, 1 << x0.cls)
-        dist = {start: 0}
-        heap = [(0,) + start]
-        settled = set()
-        result.clear()
-        while heap:
-            d, cls, off, mask = heapq.heappop(heap)
-            state = (cls, off, mask)
-            if state in settled:
-                continue
-            settled.add(state)
-            if mask == full:
-                v = Vertex(cls, off)
-                if v in want and v not in result:
-                    result[v] = d
-                    if len(result) == len(want):
-                        return result
-            for _, e in graph.out_edges(cls):
-                nd = d + e.weight
-                if nd > radius:
-                    continue
-                ns = (e.tgt, tuple(a + b for a, b in zip(off, e.vector)),
-                      mask | (1 << e.tgt))
-                if dist.get(ns, nd + 1) > nd:
-                    dist[ns] = nd
-                    heapq.heappush(heap, (nd,) + ns)
-                    if len(dist) > max_states:
-                        raise GraphError(
-                            f"support search exceeded {max_states} states")
-        radius *= 2
+    lifted = {}
+    for y in targets:
+        if (y.cls, full) not in index:
+            raise GraphError(f"no walk from the start vertex covers every "
+                             f"class and ends in class "
+                             f"{graph.class_names[y.cls]!r}")
+        lifted[y] = Vertex(index[y.cls, full], y.offset)
+    dist = _distances_to(product, Vertex(0, x0.offset), lifted.values(),
+                         max_states)
+    return {y: dist[v] for y, v in lifted.items()}
 
 
 def c2_support(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
@@ -218,12 +207,17 @@ class AsymptoticConstants(NamedTuple):
     variant: str  # "p-initial" or "support"
 
 
-def asymptotic_constants(graph: QuotientGraph, x0: Vertex,
+def asymptotic_constants(graph: QuotientGraph, x0: Vertex, cycles=None,
                          max_states=10_000_000) -> AsymptoticConstants:
     """(c1, c2) pair with d <= gauge + c2 and gauge - c1 <= d; uses the
-    P-initial variant when available, the class-support variant otherwise."""
-    cycles = enumerate_cycles(graph)
+    P-initial variant when available, the class-support variant otherwise.
+    Raises GraphError unless the periodic graph is strongly connected."""
+    if cycles is None:
+        cycles = enumerate_cycles(graph)
     polytope = growth_polytope(graph, cycles=cycles)
+    if not is_strongly_connected(graph, cycles=cycles, polytope=polytope):
+        raise GraphError("asymptotic constants need a strongly connected "
+                         "periodic graph")
     a = c1(graph, x0, polytope=polytope, max_states=max_states)
     pdata = p_initial_data(graph, x0.cls, cycles=cycles, polytope=polytope)
     if pdata.is_p_initial:
@@ -301,12 +295,10 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
     if not graph.undirected:
         return WellArrangedResult("not-well-arranged", "graph is directed",
                                   None, None, None, None, None)
-    if not is_strongly_connected(graph):
-        raise GraphError("well-arranged search needs a strongly connected graph")
     cycles = enumerate_cycles(graph)
     polytope = growth_polytope(graph, cycles=cycles)
-    if isinstance(polytope, LowerDimensionalHull):
-        raise GraphError("growth polytope is lower-dimensional")
+    if not is_strongly_connected(graph, cycles=cycles, polytope=polytope):
+        raise GraphError("well-arranged search needs a strongly connected graph")
     pdata = p_initial_data(graph, x0.cls, cycles=cycles, polytope=polytope)
     if not pdata.is_p_initial:
         return WellArrangedResult(

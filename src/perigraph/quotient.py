@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -165,8 +164,18 @@ def closed_walk_vector(graph: QuotientGraph, edge_indices) -> tuple:
     return tuple(vec)
 
 
-def ball(graph: QuotientGraph, x0: Vertex, radius, max_states=10_000_000):
-    """Exact distances d(x0, y) <= radius as a dict Vertex -> int."""
+def ball(graph: QuotientGraph, x0: Vertex, radius=None, max_states=10_000_000,
+         targets=None):
+    """Exact distances from x0 as a dict Vertex -> int.
+
+    Settles every vertex y with d(x0, y) <= radius (no bound when radius is
+    None).  When targets are given, the search also stops as soon as every
+    target is settled; a target missing from the result is farther than
+    radius or unreachable.  Raises ResourceLimit once more than max_states
+    states have been discovered.
+    """
+    bound = float("inf") if radius is None else radius
+    want = None if targets is None else set(targets)
     dist = {x0: 0}
     heap = [(0, x0.cls, x0.offset)]
     settled = {}
@@ -176,9 +185,13 @@ def ball(graph: QuotientGraph, x0: Vertex, radius, max_states=10_000_000):
         if v in settled:
             continue
         settled[v] = d
+        if want is not None:
+            want.discard(v)
+            if not want:
+                break
         for _, e in graph.out_edges(cls):
             nd = d + e.weight
-            if nd > radius:
+            if nd > bound:
                 continue
             w = Vertex(e.tgt, tuple(a + b for a, b in zip(off, e.vector)))
             if dist.get(w, nd + 1) > nd:
@@ -209,36 +222,8 @@ def cumulative(seq):
 
 def distance(graph: QuotientGraph, x: Vertex, y: Vertex, bound: int,
              max_states=10_000_000):
-    """d(x, y) if it is <= bound, else None (periodic: translate to x-origin)."""
-    # translation invariance: shift both by -x.offset
-    shift = tuple(-a for a in x.offset)
-    target = Vertex(y.cls, tuple(a + b for a, b in zip(y.offset, shift)))
-    x0 = Vertex(x.cls, (0,) * graph.rank)
-    if target == x0:
-        return 0
-    dist = {x0: 0}
-    heap = [(0, x0.cls, x0.offset)]
-    settled = set()
-    while heap:
-        d, cls, off = heapq.heappop(heap)
-        v = Vertex(cls, off)
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == target:
-            return d
-        for _, e in graph.out_edges(cls):
-            nd = d + e.weight
-            if nd > bound:
-                continue
-            w = Vertex(e.tgt, tuple(a + b for a, b in zip(off, e.vector)))
-            if dist.get(w, nd + 1) > nd:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w.cls, w.offset))
-                if len(dist) > max_states:
-                    raise ResourceLimit(
-                        f"distance search exceeded {max_states} states")
-    return None
+    """d(x, y) if it is <= bound, else None."""
+    return ball(graph, x, bound, max_states=max_states, targets=[y]).get(y)
 
 
 def quotient_strongly_connected(graph: QuotientGraph) -> bool:
@@ -295,23 +280,25 @@ def lattice_index(vectors, n) -> int:
     return abs(d)
 
 
-def is_strongly_connected(graph: QuotientGraph, max_cycles=1_000_000) -> bool:
+def is_strongly_connected(graph: QuotientGraph, max_cycles=1_000_000,
+                          cycles=None, polytope=None) -> bool:
     """Strong connectivity of the periodic graph itself.
 
     Requires: strongly connected quotient, cycle vectors generating Z^rank
-    as a group, and the origin interior to the convex hull of the cycle
-    vectors.
+    as a group, and the origin interior to the growth polytope (equivalently,
+    to the convex hull of the cycle vectors, which positively span the same
+    cone).  ``cycles`` and ``polytope`` may be passed in when already known.
     """
     if not quotient_strongly_connected(graph):
         return False
-    from .cycles import enumerate_cycles  # deferred: cycles builds on this module
-    from .geometry import LowerDimensionalHull, convex_hull, origin_interior
-    vectors = [closed_walk_vector(graph, c.edge_indices)
-               for c in enumerate_cycles(graph, max_cycles=max_cycles)]
-    vectors = sorted(set(vectors))
-    if lattice_index(vectors, graph.rank) != 1:
+    from .cycles import enumerate_cycles, growth_polytope  # cycles imports this module
+    from .geometry import LowerDimensionalHull, origin_interior
+    if cycles is None:
+        cycles = enumerate_cycles(graph, max_cycles=max_cycles)
+    if lattice_index(sorted({c.vector for c in cycles}), graph.rank) != 1:
         return False
-    hull = convex_hull([tuple(Fraction(x) for x in v) for v in vectors])
-    if isinstance(hull, LowerDimensionalHull):
+    if polytope is None:
+        polytope = growth_polytope(graph, cycles=cycles)
+    if isinstance(polytope, LowerDimensionalHull):
         return False
-    return origin_interior(hull)
+    return origin_interior(polytope)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from perigraph import load_net, load_polytope
+from perigraph import load_net, load_polytope, parse_net
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,25 @@ def z2():
 @pytest.fixture(scope="session")
 def z3():
     return load_net("z3")
+
+
+@pytest.fixture(scope="session")
+def one_way():
+    # a carries the four unit loops; b reaches a but a never reaches b, so
+    # the periodic graph is not strongly connected
+    return parse_net("""format: pgnet/1
+name: one-way
+rank: 2
+undirected: false
+class: a 0 0
+class: b 1/2 0
+edge: a a 1 0 1
+edge: a a -1 0 1
+edge: a a 0 1 1
+edge: a a 0 -1 1
+edge: b a 0 0 1
+edge: b b 0 0 1
+""")
 
 
 @pytest.fixture(scope="session")

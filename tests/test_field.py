@@ -59,6 +59,15 @@ def test_exact_floor_quadratic(a, b, d):
     assert exact_ceil(x) == -exact_floor(QuadExt(d, -a, -b))
 
 
+def test_exact_floor_large_values():
+    assert exact_floor(QuadExt(2, 10**30, 1)) == 10**30 + 1
+    assert exact_floor(QuadExt(2, 10**30, -1)) == 10**30 - 2
+    assert exact_ceil(QuadExt(2, 10**30, 1)) == 10**30 + 2
+    x = QuadExt(3, Fraction(10**40, 7), Fraction(-10**25, 3))
+    f = exact_floor(x)
+    assert f <= x < f + 1
+
+
 def test_exact_floor_rational():
     assert exact_floor(Fraction(7, 2)) == 3
     assert exact_floor(Fraction(-7, 2)) == -4

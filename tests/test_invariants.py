@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,8 @@ from perigraph.geometry import gauge
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
                                   c1, c2, edge_count_ball, support_distance,
                                   verify_alpha_ehrhart, well_arranged)
-from perigraph.quotient import (GraphError, Vertex, ball, cumulative,
-                                growth_sequence)
+from perigraph.quotient import (GraphError, ResourceLimit, Vertex, ball,
+                                cumulative, growth_sequence)
 
 
 def origin(graph, cls=0):
@@ -63,6 +64,28 @@ def test_support_distance(wakatsuki):
     v2 = origin(wakatsuki, 2)
     res = support_distance(wakatsuki, v2, [v2])
     assert res[v2] == 3
+    with pytest.raises(ResourceLimit):
+        support_distance(wakatsuki, v2, [v2], max_states=5)
+
+
+def test_support_distance_one_way(one_way):
+    a, b = one_way.vertex("a"), one_way.vertex("b")
+    # b -> a, then three unit steps along the loops of a
+    target = Vertex(a.cls, (3, 0))
+    assert support_distance(one_way, b, [target]) == {target: 4}
+    # no walk from a ever visits b; from b, none returns to b after a
+    with pytest.raises(GraphError):
+        support_distance(one_way, a, [target])
+    with pytest.raises(GraphError):
+        support_distance(one_way, b, [b])
+
+
+def test_constants_need_strong_connectivity(one_way):
+    for name in one_way.class_names:
+        t0 = time.perf_counter()
+        with pytest.raises(GraphError, match="strongly connected"):
+            asymptotic_constants(one_way, one_way.vertex(name))
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_alpha_ehrhart_grids(z1, z2, z3):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -143,6 +144,22 @@ def test_cli_errors(capsys, tmp_path):
     assert run_command(["growth", str(bad)]) == 2
     assert run_command(["growth", str(fixture_path("wakatsuki.net")),
                         "--start", "nope"]) == 2
+
+
+def test_cli_budget_overrun_exits_2(capsys):
+    assert run_command(["growth", str(fixture_path("z3.net")), "--terms", "40",
+                        "--max-states", "100"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_invariants_not_strongly_connected(tmp_path, capsys, one_way):
+    net = tmp_path / "one_way.net"
+    net.write_text(emit_net(one_way))
+    for start in ("a", "b"):
+        t0 = time.perf_counter()
+        assert run_command(["invariants", str(net), "--start", start]) == 2
+        assert time.perf_counter() - t0 < 5.0
+    assert "strongly connected" in capsys.readouterr().err
 
 
 def test_cli_plots(tmp_path, capsys):
