@@ -8,7 +8,6 @@ scanning after clearing all denominators to integers; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 

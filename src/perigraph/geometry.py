@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .field import (QuadExt, det, exact_ceil, exact_floor, matrix_rank,
-                    scalar_sign, solve_linear)
+from .field import (det, exact_ceil, exact_floor, matrix_rank, scalar_sign,
+                    solve_linear)
 
 
 def vsub(p, q):

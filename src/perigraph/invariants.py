@@ -21,7 +21,7 @@ from .geometry import (HalfOpenRegion, LowerDimensionalHull, gauge,
                        integer_box, region_union_box, triangulate_facet, vadd,
                        vsub)
 from .quotient import (EdgeRecord, GraphError, QuotientGraph, Vertex, ball,
-                       is_strongly_connected)
+                       is_strongly_connected, reachable_classes)
 
 
 def _require_realization(graph):
@@ -37,16 +37,22 @@ def _delta(graph, x0: Vertex, cls: int):
 
 def edge_count_ball(graph: QuotientGraph, x0: Vertex, max_edges: int,
                     max_states=10_000_000):
-    """Vertices reachable by walks with at most max_edges edges, as a dict
-    Vertex -> least number of edges."""
+    """Vertices reachable by walks with at most max_edges edges, as a
+    read-only mapping (quotient.Ball) Vertex -> least number of edges."""
     unit = replace(graph, edges=tuple(replace(e, weight=1)
                                       for e in graph.edges))
     return ball(unit, x0, max_edges, max_states=max_states)
 
 
 def _distances_to(graph: QuotientGraph, x0: Vertex, targets, max_states):
-    """Exact d(x0, y) for every target; GraphError if the search ends with a
-    target unsettled."""
+    """Exact d(x0, y) for every target; GraphError if the quotient has no walk
+    from x0's class to a target's class, or the search ends with a target
+    unsettled."""
+    reach = reachable_classes(graph, x0.cls)
+    stranded = sum(y.cls not in reach for y in targets)
+    if stranded:
+        raise GraphError(f"{stranded} target vertices lie in classes the "
+                         "start class cannot reach")
     dist = ball(graph, x0, None, max_states=max_states, targets=targets)
     missing = sum(y not in dist for y in targets)
     if missing:
@@ -65,7 +71,8 @@ def c1(graph: QuotientGraph, x0: Vertex, polytope=None, max_states=10_000_000):
     c = graph.num_classes
     targets = edge_count_ball(graph, x0, c - 1, max_states=max_states)
     maxw = max(e.weight for e in graph.edges)
-    dist = ball(graph, x0, (c - 1) * maxw, max_states=max_states)
+    dist = ball(graph, x0, (c - 1) * maxw, max_states=max_states,
+                targets=targets)
     best = Fraction(0)
     pos0 = graph.position(x0)
     for y in targets:
@@ -121,15 +128,17 @@ def vertices_in_regions(graph, x0, regions):
 
 
 def c2(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
-       max_states=10_000_000):
+       max_states=10_000_000, pdata=None):
     """Exact sup of d(x0, y) - gauge over the half-open region; needs x0
-    P-initial."""
+    P-initial.  ``pdata`` is x0's class ``p_initial_data`` when known."""
     _require_realization(graph)
     if cycles is None:
         cycles = enumerate_cycles(graph)
     if polytope is None:
         polytope = growth_polytope(graph, cycles=cycles)
-    pdata = p_initial_data(graph, x0.cls, cycles=cycles, polytope=polytope)
+    if pdata is None:
+        pdata = p_initial_data(graph, x0.cls, cycles=cycles,
+                               polytope=polytope)
     if not pdata.is_p_initial:
         raise GraphError("c2 requires a P-initial start vertex")
     d_map = {v: w for v, (w, _) in pdata.witnesses.items()}
@@ -222,7 +231,7 @@ def asymptotic_constants(graph: QuotientGraph, x0: Vertex, cycles=None,
     pdata = p_initial_data(graph, x0.cls, cycles=cycles, polytope=polytope)
     if pdata.is_p_initial:
         b = c2(graph, x0, polytope=polytope, cycles=cycles,
-               max_states=max_states)
+               max_states=max_states, pdata=pdata)
         return AsymptoticConstants(a, b, "p-initial")
     b = c2_support(graph, x0, polytope=polytope, cycles=cycles,
                    max_states=max_states)

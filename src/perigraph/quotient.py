@@ -9,9 +9,8 @@ Vertices of the infinite graph are (class, offset) pairs.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from math import gcd
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -164,43 +163,137 @@ def closed_walk_vector(graph: QuotientGraph, edge_indices) -> tuple:
     return tuple(vec)
 
 
+class Ball(Mapping):
+    """Read-only mapping Vertex -> exact distance, returned by ``ball``.
+
+    States are stored as ints: (cls, offset) is
+    ``cls + C * sum((offset[i] - origin[i] + bias) * base**i)`` with C the
+    number of classes and ``base = 2 * bias + 1``, which is one-to-one on the
+    box |offset[i] - origin[i]| < bias.  A lookup packs its key with that
+    range check, so a key outside the box, a class out of range or a
+    non-Vertex is absent instead of aliased to another state.
+    """
+
+    __slots__ = ("_dist", "_classes", "_origin", "_bias", "_base", "_zero")
+
+    def __init__(self, classes, origin, bias):
+        self._dist = {}
+        self._classes = classes
+        self._origin = tuple(origin)
+        self._bias = bias
+        self._base = 2 * bias + 1
+        self._zero = _weave((bias,) * len(self._origin), self._base)
+
+    def _key(self, v):
+        """Packed int of a vertex, or None when it lies outside the box."""
+        if not isinstance(v, Vertex) or len(v.offset) != len(self._origin):
+            return None
+        if not (isinstance(v.cls, int) and 0 <= v.cls < self._classes):
+            return None
+        rel = tuple(a - b for a, b in zip(v.offset, self._origin))
+        if not all(-self._bias < r < self._bias for r in rel):
+            return None
+        return v.cls + self._classes * (self._zero + _weave(rel, self._base))
+
+    def _vertex(self, key):
+        q, cls = divmod(key, self._classes)
+        off = []
+        for b in self._origin:
+            q, r = divmod(q, self._base)
+            off.append(b + r - self._bias)
+        return Vertex(cls, tuple(off))
+
+    def __getitem__(self, v):
+        d = self._dist.get(self._key(v))
+        if d is None:
+            raise KeyError(v)
+        return d
+
+    def __contains__(self, v):
+        return self._key(v) in self._dist
+
+    def get(self, v, default=None):
+        return self._dist.get(self._key(v), default)
+
+    def __iter__(self):
+        return map(self._vertex, self._dist)
+
+    def __len__(self):
+        return len(self._dist)
+
+    def values(self):
+        return self._dist.values()
+
+
+def _weave(vec, base):
+    """sum(vec[i] * base**i)."""
+    total = 0
+    for x in reversed(vec):
+        total = total * base + x
+    return total
+
+
 def ball(graph: QuotientGraph, x0: Vertex, radius=None, max_states=10_000_000,
-         targets=None):
-    """Exact distances from x0 as a dict Vertex -> int.
+         targets=None) -> Ball:
+    """Exact distances from x0 as a read-only mapping Vertex -> int.
 
     Settles every vertex y with d(x0, y) <= radius (no bound when radius is
     None).  When targets are given, the search also stops as soon as every
-    target is settled; a target missing from the result is farther than
-    radius or unreachable.  Raises ResourceLimit once more than max_states
-    states have been discovered.
+    target is settled, and returns every state settled up to the last
+    target's distance, all of them exact; a target missing from the result
+    is farther than radius or unreachable.  Raises ResourceLimit once more
+    than max_states states have been discovered.
+
+    Dijkstra with buckets over packed states (see ``Ball``): the queue is a
+    dict distance -> states discovered at it, so its size does not grow
+    with the edge weights, and relaxing an edge adds its precomputed packed
+    delta.  Every state the search discovers is at most
+    min(radius, max_states) edges from x0, so it lies inside the box of bias
+    (min(radius, max_states) + 1) * max|vector entry| + 1.
     """
+    C = graph.num_classes
+    span = max((abs(a) for e in graph.edges for a in e.vector), default=0)
+    steps = max_states if radius is None else max(0, min(radius, max_states))
+    result = Ball(C, x0.offset, (steps + 1) * span + 1)
+    start = result._key(x0)
+    if start is None:
+        raise GraphError(f"{x0!r} is not a vertex of the graph")
+    out = [[(e.weight, e.tgt - c + C * _weave(e.vector, result._base))
+            for _, e in graph.out_edges(c)] for c in range(C)]
     bound = float("inf") if radius is None else radius
-    want = None if targets is None else set(targets)
-    dist = {x0: 0}
-    heap = [(0, x0.cls, x0.offset)]
-    settled = {}
-    while heap:
-        d, cls, off = heapq.heappop(heap)
-        v = Vertex(cls, off)
-        if v in settled:
-            continue
-        settled[v] = d
-        if want is not None:
-            want.discard(v)
-            if not want:
-                break
-        for _, e in graph.out_edges(cls):
-            nd = d + e.weight
-            if nd > bound:
-                continue
-            w = Vertex(e.tgt, tuple(a + b for a, b in zip(off, e.vector)))
-            if dist.get(w, nd + 1) > nd:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w.cls, w.offset))
-                if len(dist) > max_states:
-                    raise ResourceLimit(
-                        f"ball expansion exceeded {max_states} states")
-    return settled
+    # a target outside the box keys to None, which is never settled
+    want = None if targets is None else {result._key(y) for y in targets}
+    dist = result._dist
+    dist[start] = 0
+    pending = {0: [start]}
+    while pending:
+        d = min(pending)
+        for k in pending.pop(d):
+            if dist[k] != d:
+                continue  # stale: settled earlier at a smaller distance
+            if want is not None:
+                want.discard(k)
+                if not want:
+                    # every state with a tentative distance <= d is exact
+                    result._dist = {j: v for j, v in dist.items() if v <= d}
+                    return result
+            for w, delta in out[k % C]:
+                nd = d + w
+                if nd > bound:
+                    continue
+                j = k + delta
+                old = dist.get(j)
+                if old is None or nd < old:
+                    dist[j] = nd
+                    later = pending.get(nd)
+                    if later is None:
+                        pending[nd] = [j]
+                    else:
+                        later.append(j)
+                    if len(dist) > max_states:
+                        raise ResourceLimit(
+                            f"ball expansion exceeded {max_states} states")
+    return result
 
 
 def growth_sequence(graph: QuotientGraph, x0: Vertex, count: int,
@@ -226,26 +319,30 @@ def distance(graph: QuotientGraph, x: Vertex, y: Vertex, bound: int,
     return ball(graph, x, bound, max_states=max_states, targets=[y]).get(y)
 
 
+def reachable_classes(graph: QuotientGraph, cls: int, reverse=False) -> set:
+    """Classes reachable from cls in the quotient (that reach cls when
+    reverse is set)."""
+    adj = [set() for _ in range(graph.num_classes)]
+    for e in graph.edges:
+        if reverse:
+            adj[e.tgt].add(e.src)
+        else:
+            adj[e.src].add(e.tgt)
+    seen = {cls}
+    stack = [cls]
+    while stack:
+        c = stack.pop()
+        for t in adj[c]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def quotient_strongly_connected(graph: QuotientGraph) -> bool:
     n = graph.num_classes
-    fwd = [set() for _ in range(n)]
-    bwd = [set() for _ in range(n)]
-    for e in graph.edges:
-        fwd[e.src].add(e.tgt)
-        bwd[e.tgt].add(e.src)
-
-    def reach(adj, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for t in adj[c]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    return len(reach(fwd, 0)) == n and len(reach(bwd, 0)) == n
+    return (len(reachable_classes(graph, 0)) == n
+            and len(reachable_classes(graph, 0, reverse=True)) == n)
 
 
 def lattice_index(vectors, n) -> int:

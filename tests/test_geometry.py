@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from perigraph.field import QuadExt, scalar_sign
+from perigraph.field import QuadExt
 from perigraph.geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
                                 convex_hull, gauge, integer_box,
                                 lattice_points, origin_interior, primitive,

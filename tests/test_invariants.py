@@ -88,6 +88,12 @@ def test_constants_need_strong_connectivity(one_way):
         assert time.perf_counter() - t0 < 1.0
 
 
+def test_c2_rejects_targets_in_unreachable_classes(one_way):
+    # a is P-initial, and its region holds class-b vertices a never reaches
+    with pytest.raises(GraphError, match="cannot reach"):
+        c2(one_way, one_way.vertex("a"), max_states=300_000)
+
+
 def test_alpha_ehrhart_grids(z1, z2, z3):
     for g in (z1, z2, z3):
         assert verify_alpha_ehrhart(g, origin(g), F(1, 2), 6)

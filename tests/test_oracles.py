@@ -66,8 +66,9 @@ def support_torus(graph, k):
     return g
 
 
-def starts(graph):
-    return [Vertex(c, (0,) * graph.rank) for c in range(graph.num_classes)]
+def starts(graph, offset=None):
+    offset = offset or (0,) * graph.rank
+    return [Vertex(c, offset) for c in range(graph.num_classes)]
 
 
 @pytest.fixture(scope="module",
@@ -83,7 +84,8 @@ def test_ball_and_growth_match_dijkstra(case):
     graph, k = case
     radius = (k - 1) // 2
     g = torus(graph, k)
-    for x0 in starts(graph):
+    far = (10**12, -10**12, 7)[:graph.rank]
+    for x0 in starts(graph) + starts(graph, far):
         got = ball(graph, x0, radius)
         want = nx.single_source_dijkstra_path_length(
             g, _wrap(k, x0), cutoff=radius)

@@ -1,3 +1,5 @@
+import time
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import pytest
@@ -58,11 +60,64 @@ def test_ball_and_growth_z2(z2):
     assert Vertex(0, (4, 0)) not in d
 
 
+def test_ball_is_a_checked_read_only_mapping(z2):
+    b = ball(z2, z2.vertex("o"), 5)
+    assert isinstance(b, Mapping)
+    # unchecked packing would alias (13, 0) to (-2, 1), which is in the ball
+    assert b[Vertex(0, (-2, 1))] == 3
+    far = Vertex(0, (13, 0))
+    assert far not in b and b.get(far) is None
+    with pytest.raises(KeyError):
+        b[far]
+    for key in ((0, (0, 0)), "o", None, Vertex(1, (0, 0)),
+                Vertex(-1, (0, 0)), Vertex(0, (0,))):
+        assert key not in b and b.get(key, "absent") == "absent"
+    plain = dict(b)
+    assert len(plain) == len(b) == 61  # 2r^2 + 2r + 1 points of |.|_1 <= 5
+    assert plain == b and list(b.values()) == list(plain.values())
+    assert all(d == abs(v.offset[0]) + abs(v.offset[1])
+               for v, d in plain.items())
+    with pytest.raises(TypeError):
+        b[far] = 1
+
+
+def test_ball_budget_counts_every_state(z2):
+    o = z2.vertex("o")
+    n = len(ball(z2, o, 5))
+    assert len(ball(z2, o, 5, max_states=n)) == n
+    with pytest.raises(ResourceLimit):
+        ball(z2, o, 5, max_states=n - 1)
+
+
+def test_ball_targets_return_the_ball_of_the_farthest_one(z2):
+    o = z2.vertex("o")
+    got = ball(z2, o, None, targets=[Vertex(0, (2, 1)), Vertex(0, (0, -1))])
+    assert got == ball(z2, o, 3)
+    # a target beyond every state the budget allows is never settled
+    with pytest.raises(ResourceLimit):
+        ball(z2, o, None, max_states=50, targets=[Vertex(0, (10**6, 0))])
+
+
 def test_weighted_ball():
     g = loop_graph([(1,)], 1, weights=[3])
     o = g.vertex("o")
     s = growth_sequence(g, o, 7)
     assert s == [1, 0, 0, 2, 0, 0, 2]
+
+
+def test_huge_weights_cost_no_more_than_small_ones():
+    # the queue is keyed by distance, so a weight of 10**9 allocates nothing
+    # in proportion to it
+    g = loop_graph([(1,)], 1, weights=[10**9])
+    o = g.vertex("o")
+    t = time.perf_counter()
+    assert growth_sequence(g, o, 3) == [1, 0, 0]
+    far = Vertex(0, (3,))
+    assert distance(g, o, far, 3 * 10**9) == 3 * 10**9
+    assert distance(g, o, far, 3 * 10**9 - 1) is None
+    assert dict(ball(g, o, None, max_states=20, targets=[far])) == {
+        Vertex(0, (i,)): abs(i) * 10**9 for i in range(-3, 4)}
+    assert time.perf_counter() - t < 1.0
 
 
 def test_distance_translation_invariance(z2):
