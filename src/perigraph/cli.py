@@ -18,7 +18,7 @@ from . import cycles as _cycles
 from . import ehrhart as _ehrhart
 from . import invariants as _inv
 from . import series as _series
-from .field import format_scalar, to_float
+from .field import format_scalar
 from .geometry import LowerDimensionalHull, convex_hull, volume
 from .netfile import FormatError, emit_net, parse_net, parse_polytope
 from .quotient import (GraphError, QuotientGraph, ResourceLimit, cumulative,
@@ -207,8 +207,8 @@ def cmd_invariants(args):
         "c1": format_scalar(ac.c1),
         "c2": format_scalar(ac.c2),
         "variant": ac.variant,
-        "c1_float": to_float(ac.c1),
-        "c2_float": to_float(ac.c2),
+        "c1_float": float(ac.c1),
+        "c2_float": float(ac.c2),
     }
     window = _inv.alpha_ehrhart_window(ac.c1, ac.c2)
     report["alpha_window"] = ("empty" if window is None else
@@ -353,8 +353,6 @@ def build_parser():
 
     p = sub.add_parser("invariants", help="comparison constants c1/c2")
     common(p)
-    p.add_argument("--radius", type=int, default=None,
-                   help="unused bound hint; kept for compatibility")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("wellarranged", help="well-arranged verdict")

@@ -11,126 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .geometry import (LowerDimensionalHull, Polytope, convex_hull,
-                       origin_interior, vdot)
+from .geometry import (LowerDimensionalHull, _box, _scan, _shifted_constraints,
+                       origin_interior)
 from .quotient import EdgeRecord, QuotientGraph
 from .series import FitError, QuasiPolynomial, interpolate
 
 
-def hull_of(points):
-    return convex_hull(points)
-
-
 def hull_dim(P):
     return P.dim if isinstance(P, LowerDimensionalHull) else P.ambient_dim
-
-
-def hull_vertices(P):
-    return P.vertices
-
-
-def _hrep(P):
-    """(equalities, inequalities) of P in ambient coordinates, integer rows."""
-    eqs, ineqs = [], []
-    if isinstance(P, LowerDimensionalHull):
-        eq_src = P.equalities
-        in_src = P.inequalities
-    else:
-        eq_src = ()
-        in_src = P.facets
-    for a, b in eq_src:
-        scale = lcm(*(Fraction(x).denominator for x in a))
-        eqs.append((tuple(int(x * scale) for x in a), Fraction(b) * scale))
-    for a, b in in_src:
-        scale = lcm(*(Fraction(x).denominator for x in a))
-        ineqs.append((tuple(int(x * scale) for x in a), Fraction(b) * scale))
-    return eqs, ineqs
-
-
-def _scan(eqs, ineqs, lo, hi, collect=False):
-    """Integer points satisfying e.x == f and a.x <= b inside box [lo, hi].
-
-    All coefficients integral; rhs of equalities must be integers (callers
-    reject fractional equality rhs).  The last coordinate is resolved by
-    interval arithmetic rather than iteration.
-    """
-    n = len(lo)
-    points = [] if collect else None
-    count = 0
-
-    def rec(idx, partial_eq, partial_in):
-        nonlocal count
-        if idx == n - 1:
-            lo_b, hi_b = lo[n - 1], hi[n - 1]
-            for (a, rhs), p in zip(eqs, partial_eq):
-                c = rhs - p
-                an = a[n - 1]
-                if an == 0:
-                    if c != 0:
-                        return
-                else:
-                    if c % an != 0:
-                        return
-                    x = c // an
-                    lo_b, hi_b = max(lo_b, x), min(hi_b, x)
-            for (a, rhs), p in zip(ineqs, partial_in):
-                c = rhs - p
-                an = a[n - 1]
-                if an == 0:
-                    if c < 0:
-                        return
-                elif an > 0:
-                    hi_b = min(hi_b, c // an)
-                else:  # x >= c/an with an < 0: ceil((-c)/(-an))
-                    lo_b = max(lo_b, -(c // (-an)))
-            if hi_b < lo_b:
-                return
-            count += hi_b - lo_b + 1
-            if collect:
-                points.extend(tuple(prefix) + (x,)
-                              for x in range(lo_b, hi_b + 1))
-            return
-        for x in range(lo[idx], hi[idx] + 1):
-            prefix.append(x)
-            rec(idx + 1,
-                [p + a[idx] * x for (a, _), p in zip(eqs, partial_eq)],
-                [p + a[idx] * x for (a, _), p in zip(ineqs, partial_in)])
-            prefix.pop()
-
-    prefix = []
-    if n == 0:
-        ok = all(f == p for (_, f), p in zip(eqs, [0] * len(eqs)))
-        return ([] if collect else 0) if not ok else ([()] if collect else 1)
-    rec(0, [0] * len(eqs), [0] * len(ineqs))
-    return points if collect else count
-
-
-def _shifted_constraints(P, v, t, strict):
-    """Integerized constraints for the region v + t*P (t > 0)."""
-    eqs, ineqs = _hrep(P)
-    out_eqs, out_ineqs = [], []
-    for a, f in eqs:
-        rhs = vdot(a, v) + t * f
-        if rhs.denominator != 1:
-            return None  # no integer point can satisfy an integral form
-        out_eqs.append((a, int(rhs)))
-    for a, b in ineqs:
-        rhs = vdot(a, v) + t * b
-        if strict:
-            bound = int(rhs) - 1 if rhs.denominator == 1 else floor(rhs)
-        else:
-            bound = floor(rhs)
-        out_ineqs.append((a, bound))
-    return out_eqs, out_ineqs
-
-
-def _box(P, v, t):
-    verts = [tuple(Fraction(x) * t + Fraction(y) for x, y in zip(w, v))
-             for w in hull_vertices(P)]
-    n = len(v)
-    lo = tuple(ceil(min(w[c] for w in verts)) for c in range(n))
-    hi = tuple(floor(max(w[c] for w in verts)) for c in range(n))
-    return lo, hi
 
 
 def _points(P, v, t, strict, collect):
@@ -168,14 +56,14 @@ def count_interior(P, v, t) -> int:
 
 def lattice_points_of(P, v=None, t=1, strict=False):
     if v is None:
-        v = (0,) * (P.ambient_dim if isinstance(P, Polytope) else P.ambient_dim)
+        v = (0,) * P.ambient_dim
     return _points(P, v, t, strict=strict, collect=True)
 
 
 def minimal_dilation(P) -> int:
     """Smallest a with a*P having integral vertices."""
     return lcm(*(Fraction(x).denominator
-                 for w in hull_vertices(P) for x in w))
+                 for w in P.vertices for x in w))
 
 
 def shifted_count(P, v, alpha, d) -> int:

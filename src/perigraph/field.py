@@ -218,11 +218,14 @@ def format_scalar(x) -> str:
     raise TypeError(type(x))
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 # -- exact linear algebra ---------------------------------------------
+
+def _exact(rows):
+    """Copy of a matrix with int entries as Fractions, so that ``/`` stays
+    exact."""
+    return [[Fraction(x) if isinstance(x, int) else x for x in r]
+            for r in rows]
+
 
 def solve_linear(rows, rhs):
     """Solve A x = b exactly; return a solution list or None if inconsistent.
@@ -230,7 +233,7 @@ def solve_linear(rows, rhs):
     Works over any field of scalars supported above.  Free variables are
     set to 0.  ``rows`` is a list of coefficient rows.
     """
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    m = _exact(list(r) + [v] for r, v in zip(rows, rhs))
     nrows = len(m)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -260,7 +263,7 @@ def solve_linear(rows, rhs):
 
 
 def matrix_rank(rows) -> int:
-    m = [list(r) for r in rows]
+    m = _exact(rows)
     nrows, ncols = len(m), (len(m[0]) if m else 0)
     rank = 0
     for c in range(ncols):
@@ -279,22 +282,27 @@ def matrix_rank(rows) -> int:
 
 
 def det(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Every division is exact, so int input gives an int (by ``//``) and
+    rational or quadratic input a Fraction or QuadExt (by ``/``).
+    """
     n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    result = Fraction(1)
+    integral = all(isinstance(x, int) for r in rows for x in r)
+    m = [list(r) for r in rows] if integral else _exact(rows)
+    sign, prev = 1, 1
     for c in range(n):
         piv = next((i for i in range(c, n) if scalar_sign(m[i][c]) != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0 if integral else Fraction(0)
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
-        result = result * m[c][c]
-        inv = m[c][c]
+        p = m[c][c]
         for i in range(c + 1, n):
-            if scalar_sign(m[i][c]) != 0:
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result * sign
+            f = m[i][c]
+            for j in range(c + 1, n):
+                v = m[i][j] * p - f * m[c][j]
+                m[i][j] = v // prev if integral else v / prev
+        prev = p
+    return sign * prev

@@ -1,20 +1,24 @@
 """Exact polyhedral geometry in small dimension (2--4).
 
 Convex hulls are computed by exhaustive supporting-hyperplane search with
-exact rational predicates; this is quadratic-ish in the number of input
-points, which is fine at the scale of growth polytopes.  Lower-dimensional
-hulls are first-class results carrying their affine hull.
+exact integer predicates, after scaling the points by one common
+denominator; this is quadratic-ish in the number of input points, which is
+fine at the scale of growth polytopes.  Lower-dimensional hulls are
+first-class results carrying their affine hull.  Half-open regions and
+lattice-point scans likewise test points with integer forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd, lcm
+from operator import mul
 
-from .field import (det, exact_ceil, exact_floor, matrix_rank, scalar_sign,
-                    solve_linear)
+from .field import (QuadExt, det, exact_ceil, exact_floor, matrix_rank,
+                    scalar_sign, solve_linear)
 
 
 def vsub(p, q):
@@ -136,19 +140,22 @@ def _full_dim_hull(points, n):
         facets = (((1,), Fraction(hi)), ((-1,), Fraction(-lo)))
         verts = ((lo,),) if lo == hi else ((lo,), (hi,))
         return Polytope(1, verts, facets)
+    # one common denominator L turns every predicate into int arithmetic;
+    # a facet a.x <= b of the scaled points is a.x <= b/L of the originals
+    L = lcm(*(x.denominator for p in points for x in p))
+    scaled = [tuple(int(x * L) for x in p) for p in points]
     facets = {}
-    m = len(points)
-    for idx in combinations(range(m), n):
-        base = points[idx[0]]
-        diffs = [vsub(points[i], base) for i in idx[1:]]
-        normal = cross_normal(diffs, n)
-        if all(x == 0 for x in normal):
+    for idx in combinations(range(len(scaled)), n):
+        base = scaled[idx[0]]
+        normal = cross_normal([vsub(scaled[i], base) for i in idx[1:]], n)
+        g = gcd(*normal)
+        if g == 0:
             continue
-        normal = primitive(normal)
+        normal = tuple(x // g for x in normal)
         b = vdot(normal, base)
         lo = hi = False
-        for p in points:
-            s = scalar_sign(vdot(normal, p) - b)
+        for p in scaled:
+            s = vdot(normal, p) - b
             if s > 0:
                 hi = True
             elif s < 0:
@@ -160,14 +167,15 @@ def _full_dim_hull(points, n):
         if hi:  # flip so inequality is <=
             normal = tuple(-x for x in normal)
             b = -b
-        facets[normal] = Fraction(b)
+        facets[normal] = b
     facet_list = sorted(facets.items())
     verts = []
-    for p in points:
-        active = [a for a, b in facet_list if vdot(a, p) == b]
+    for p, sp in zip(points, scaled):
+        active = [a for a, b in facet_list if vdot(a, sp) == b]
         if len(active) >= n and matrix_rank(active) == n:
             verts.append(p)
-    return Polytope(n, tuple(sorted(verts)), tuple(facet_list))
+    return Polytope(n, tuple(sorted(verts)),
+                    tuple((a, Fraction(b, L)) for a, b in facet_list))
 
 
 def _nullspace_int(rows, n):
@@ -334,29 +342,112 @@ def volume(poly: Polytope):
     return total / factorial(n)
 
 
+def _denominator(x) -> int:
+    if isinstance(x, QuadExt):
+        return lcm(x.a.denominator, x.b.denominator)
+    return Fraction(x).denominator
+
+
+def _region_frame(n, generators, extents):
+    """Integer tests for rel in R^n to be sum_j [0, extent_j) * gen_j: (forms,
+    equalities, D) with rel inside iff 0 <= form . rel < D for every form and
+    e . rel == 0 for every equality.
+
+    The extents are folded into the generators, whose common denominator den
+    is cleared; k independent coordinate rows S of the resulting integer
+    matrix M give d = det M_S and the signed adjugate A, so that the
+    coefficients are den * (A rel_S) / |d|.  Every row c outside S must agree
+    with them: (M_c A) . rel_S == |d| rel_c.
+    """
+    if any(Fraction(e) <= 0 for e in extents):
+        raise ValueError("region extents must be positive")
+    k = len(generators)
+    folded = [[Fraction(e) * x for x in g] for g, e in zip(generators, extents)]
+    den = lcm(*(x.denominator for g in folded for x in g))
+    rows = [[int(g[c] * den) for g in folded] for c in range(n)]
+    for sel in combinations(range(n), k):
+        square = [rows[c] for c in sel]
+        d = det(square)
+        if d != 0:
+            break
+    else:
+        raise ValueError("region generators must be independent")
+    sign = 1 if d > 0 else -1
+    # adj[j][i] is the cofactor of entry (i, j) of the selected rows
+    adj = [[sign * (-1) ** (i + j) * det(
+        [r[:j] + r[j + 1:] for t, r in enumerate(square) if t != i])
+        for i in range(k)] for j in range(k)]
+
+    def spread(coeffs):
+        vec = [0] * n
+        for c, x in zip(sel, coeffs):
+            vec[c] = x
+        return vec
+
+    forms = [spread([den * x for x in row]) for row in adj]
+    equalities = []
+    for c in range(n):
+        if c not in sel:
+            form = spread([sum(rows[c][j] * adj[j][i] for j in range(k))
+                           for i in range(k)])
+            form[c] -= abs(d)
+            equalities.append(form)
+    return forms, equalities, abs(d)
+
+
 @dataclass(frozen=True)
 class HalfOpenRegion:
-    """base + sum_i [0, extent_i) * gen_i with independent generators."""
+    """base + sum_i [0, extent_i) * gen_i with independent generators.
+
+    ``generators`` and ``extents`` are rational, extents positive; ``base``
+    may also have QuadExt coordinates.  The generators are turned into
+    integer forms once, at construction (``_region_frame``); with q the
+    base's common denominator, membership is then a few int dot products
+    against offsets and the bound q * D, all ints for a rational base.  A
+    point may have int, Fraction or QuadExt coordinates.
+    """
 
     base: tuple
     generators: tuple        # rational vectors
     extents: tuple           # positive rationals
+    _frame: tuple = field(init=False, repr=False, compare=False)
+    _tests: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._place(_region_frame(len(self.base), self.generators,
+                                  self.extents))
+
+    def _place(self, frame):
+        forms, equalities, bound = frame
+        # q * base has integral rational parts: rational offsets are ints,
+        # an irrational base (a QuadExt realization) keeps QuadExt offsets
+        q = lcm(*(_denominator(x) for x in self.base))
+        qbase = [x * q if isinstance(x, QuadExt) else int(x * q)
+                 for x in self.base]
+
+        def scaled(form):
+            return tuple(q * x for x in form), vdot(form, qbase)
+
+        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_tests", (
+            tuple(map(scaled, equalities)), tuple(map(scaled, forms)),
+            q * bound))
+
+    def translated(self, shift):
+        """The region moved by ``shift``, reusing this region's frame."""
+        moved = copy(self)
+        object.__setattr__(moved, "base", vadd(self.base, shift))
+        moved._place(self._frame)
+        return moved
 
     def contains(self, point):
-        rel = vsub(point, self.base)
-        n = len(rel)
-        k = len(self.generators)
-        rows = [[self.generators[j][c] for j in range(k)] for c in range(n)]
-        lam = solve_linear(rows, list(rel))
-        if lam is None:
-            return False
-        # solve_linear zero-fills free vars; verify the reconstruction
-        recon = [sum(lam[j] * self.generators[j][c] for j in range(k))
-                 for c in range(n)]
-        if any(scalar_sign(r - x) != 0 for r, x in zip(recon, rel)):
-            return False
-        for l, e in zip(lam, self.extents):
-            if scalar_sign(l) < 0 or scalar_sign(l - e) >= 0:
+        equalities, forms, bound = self._tests
+        for form, rhs in equalities:
+            if sum(map(mul, form, point)) != rhs:
+                return False
+        for form, off in forms:
+            s = sum(map(mul, form, point)) - off
+            if s < 0 or s >= bound:
                 return False
         return True
 
@@ -390,10 +481,114 @@ def integer_box(lo, hi):
     return out
 
 
+def _hrep(P):
+    """(equalities, inequalities) of P in ambient coordinates, integer rows."""
+    eqs, ineqs = [], []
+    if isinstance(P, LowerDimensionalHull):
+        eq_src = P.equalities
+        in_src = P.inequalities
+    else:
+        eq_src = ()
+        in_src = P.facets
+    for a, b in eq_src:
+        scale = lcm(*(Fraction(x).denominator for x in a))
+        eqs.append((tuple(int(x * scale) for x in a), Fraction(b) * scale))
+    for a, b in in_src:
+        scale = lcm(*(Fraction(x).denominator for x in a))
+        ineqs.append((tuple(int(x * scale) for x in a), Fraction(b) * scale))
+    return eqs, ineqs
+
+
+def _scan(eqs, ineqs, lo, hi, collect=False):
+    """Integer points satisfying e.x == f and a.x <= b inside box [lo, hi].
+
+    All coefficients integral; rhs of equalities must be integers (callers
+    reject fractional equality rhs).  The last coordinate is resolved by
+    interval arithmetic rather than iteration.
+    """
+    n = len(lo)
+    points = [] if collect else None
+    count = 0
+
+    def rec(idx, partial_eq, partial_in):
+        nonlocal count
+        if idx == n - 1:
+            lo_b, hi_b = lo[n - 1], hi[n - 1]
+            for (a, rhs), p in zip(eqs, partial_eq):
+                c = rhs - p
+                an = a[n - 1]
+                if an == 0:
+                    if c != 0:
+                        return
+                else:
+                    if c % an != 0:
+                        return
+                    x = c // an
+                    lo_b, hi_b = max(lo_b, x), min(hi_b, x)
+            for (a, rhs), p in zip(ineqs, partial_in):
+                c = rhs - p
+                an = a[n - 1]
+                if an == 0:
+                    if c < 0:
+                        return
+                elif an > 0:
+                    hi_b = min(hi_b, c // an)
+                else:  # x >= c/an with an < 0: ceil((-c)/(-an))
+                    lo_b = max(lo_b, -(c // (-an)))
+            if hi_b < lo_b:
+                return
+            count += hi_b - lo_b + 1
+            if collect:
+                points.extend(tuple(prefix) + (x,)
+                              for x in range(lo_b, hi_b + 1))
+            return
+        for x in range(lo[idx], hi[idx] + 1):
+            prefix.append(x)
+            rec(idx + 1,
+                [p + a[idx] * x for (a, _), p in zip(eqs, partial_eq)],
+                [p + a[idx] * x for (a, _), p in zip(ineqs, partial_in)])
+            prefix.pop()
+
+    prefix = []
+    if n == 0:
+        ok = all(f == p for (_, f), p in zip(eqs, [0] * len(eqs)))
+        return ([] if collect else 0) if not ok else ([()] if collect else 1)
+    rec(0, [0] * len(eqs), [0] * len(ineqs))
+    return points if collect else count
+
+
+def _shifted_constraints(P, v, t, strict):
+    """Integerized constraints for the region v + t*P (t > 0)."""
+    eqs, ineqs = _hrep(P)
+    out_eqs, out_ineqs = [], []
+    for a, f in eqs:
+        rhs = vdot(a, v) + t * f
+        if rhs.denominator != 1:
+            return None  # no integer point can satisfy an integral form
+        out_eqs.append((a, int(rhs)))
+    for a, b in ineqs:
+        rhs = vdot(a, v) + t * b
+        if strict:
+            bound = int(rhs) - 1 if rhs.denominator == 1 else floor(rhs)
+        else:
+            bound = floor(rhs)
+        out_ineqs.append((a, bound))
+    return out_eqs, out_ineqs
+
+
+def _box(P, v, t):
+    verts = [tuple(Fraction(x) * t + Fraction(y) for x, y in zip(w, v))
+             for w in P.vertices]
+    n = len(v)
+    lo = tuple(ceil(min(w[c] for w in verts)) for c in range(n))
+    hi = tuple(floor(max(w[c] for w in verts)) for c in range(n))
+    return lo, hi
+
+
 def lattice_points(poly) -> list:
     """Integer points of a rational polytope (full- or lower-dimensional)."""
-    verts = poly.vertices
-    n = len(verts[0])
-    lo = tuple(min(v[c] for v in verts) for c in range(n))
-    hi = tuple(max(v[c] for v in verts) for c in range(n))
-    return [p for p in integer_box(lo, hi) if poly.contains(p)]
+    origin = (0,) * poly.ambient_dim
+    cons = _shifted_constraints(poly, origin, 1, strict=False)
+    if cons is None:
+        return []
+    return _scan(*cons, *_box(poly, origin, 1), collect=True)

@@ -19,7 +19,7 @@ from .cycles import enumerate_cycles, growth_polytope, nu_image, p_initial_data
 from .field import exact_ceil, scalar_sign
 from .geometry import (HalfOpenRegion, LowerDimensionalHull, gauge,
                        integer_box, region_union_box, triangulate_facet, vadd,
-                       vsub)
+                       vscale, vsub)
 from .quotient import (EdgeRecord, GraphError, QuotientGraph, Vertex, ball,
                        is_strongly_connected, reachable_classes)
 
@@ -118,13 +118,28 @@ def vertices_in_regions(graph, x0, regions):
     found = []
     for cls in range(graph.num_classes):
         delta = _delta(graph, x0, cls)
-        box = integer_box(vsub(lo, delta), vsub(hi, delta))
-        for u in box:
-            rel = vadd(delta, u)
-            if any(r.contains(rel) for r in regions):
+        # Phi(y) - Phi(x0) = delta + u for y at offset x0.offset + u, so the
+        # regions translated by -delta are tested on the int vectors u
+        shifted = [r.translated(vscale(-1, delta)) for r in regions]
+        for u in integer_box(vsub(lo, delta), vsub(hi, delta)):
+            if any(r.contains(u) for r in shifted):
                 found.append((Vertex(cls, tuple(a + b for a, b in
-                                                zip(x0.offset, u))), rel))
+                                                zip(x0.offset, u))),
+                              vadd(delta, u)))
     return found
+
+
+def _sup_over_regions(graph, x0, polytope, d_map, distances, best):
+    """Max of distances(ys)[y] - gauge over the vertices y of the half-open
+    region of d_map, starting from ``best`` (None: no starting value)."""
+    regions = region_from_triangulations(graph, polytope, d_map)
+    targets = vertices_in_regions(graph, x0, regions)
+    dist = distances([y for y, _ in targets])
+    for y, rel in targets:
+        val = dist[y] - gauge(polytope, rel)
+        if best is None or scalar_sign(val - best) > 0:
+            best = val
+    return best
 
 
 def c2(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
@@ -142,15 +157,9 @@ def c2(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
     if not pdata.is_p_initial:
         raise GraphError("c2 requires a P-initial start vertex")
     d_map = {v: w for v, (w, _) in pdata.witnesses.items()}
-    regions = region_from_triangulations(graph, polytope, d_map)
-    targets = vertices_in_regions(graph, x0, regions)
-    dist = _distances_to(graph, x0, [y for y, _ in targets], max_states)
-    best = Fraction(0)
-    for y, rel in targets:
-        val = dist[y] - gauge(polytope, rel)
-        if scalar_sign(val - best) > 0:
-            best = val
-    return best
+    return _sup_over_regions(
+        graph, x0, polytope, d_map,
+        lambda ys: _distances_to(graph, x0, ys, max_states), Fraction(0))
 
 
 def _support_quotient(graph: QuotientGraph, cls: int):
@@ -198,16 +207,10 @@ def c2_support(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
     if polytope is None:
         polytope = growth_polytope(graph, cycles=cycles)
     d_map = _general_vertex_weights(graph, polytope, cycles)
-    regions = region_from_triangulations(graph, polytope, d_map)
-    targets = vertices_in_regions(graph, x0, regions)
-    dprime = support_distance(graph, x0, [y for y, _ in targets],
-                              max_states=max_states)
-    best = None
-    for y, rel in targets:
-        val = dprime[y] - gauge(polytope, rel)
-        if best is None or scalar_sign(val - best) > 0:
-            best = val
-    return best
+    return _sup_over_regions(
+        graph, x0, polytope, d_map,
+        lambda ys: support_distance(graph, x0, ys, max_states=max_states),
+        None)
 
 
 class AsymptoticConstants(NamedTuple):

@@ -2,7 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigraph.field import (QuadExt, det, exact_ceil, exact_floor,
@@ -115,3 +116,51 @@ def test_solve_linear_quadratic_field():
     sol = solve_linear([[s2, 0], [0, 1]], [QuadExt(2, 2, 0), Fraction(1)])
     assert sol[0] == s2  # sqrt(2) * sqrt(2) = 2
     assert sol[1] == 1
+
+
+def _exact_type(x):
+    return type(x) in (int, Fraction)
+
+
+def test_int_input_stays_exact():
+    d = det([[3, 1], [1, 2]])
+    assert d == 5 and type(d) is int
+    sol = solve_linear([[3, 1], [1, 2]], [1, 1])
+    assert sol == [Fraction(1, 5), Fraction(2, 5)]
+    assert all(_exact_type(x) for x in sol)
+    # row 3 is (row 1 + row 2) / 2; float elimination called it rank 3
+    assert matrix_rank([[10, 20, 7], [4, -8, -1], [7, 6, 3]]) == 2
+    assert det([[10, 20, 7], [4, -8, -1], [7, 6, 3]]) == 0
+    assert type(det([[0, 1], [1, 0]])) is int
+    assert det([[Fraction(1, 2), 1], [1, 2]]) == 0
+    assert det([[QuadExt(2, 0, 1), 1], [1, QuadExt(2, 0, 1)]]) == 1
+
+
+@st.composite
+def int_matrices(draw):
+    """Square int matrices of size 2-4, half of them of deficient rank
+    (a product of n x r and r x n factors with r < n)."""
+    n = draw(st.integers(2, 4))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    r = draw(st.integers(0, n - 1))
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                      min_size=n, max_size=n))
+    c = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    return [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_det_and_rank_match_sympy_on_int_matrices(m):
+    d = det(m)
+    assert type(d) is int
+    assert d == sympy.Matrix(m).det()
+    assert matrix_rank(m) == sympy.Matrix(m).rank()
+    assert matrix_rank(m[:-1]) == sympy.Matrix(m[:-1]).rank()
+    sol = solve_linear(m, [1] * len(m))
+    assert sol is None or all(_exact_type(x) for x in sol)

@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from unittest import mock
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from perigraph.field import QuadExt
+from perigraph import geometry
+from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
+                             solve_linear)
 from perigraph.geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
                                 convex_hull, gauge, integer_box,
                                 lattice_points, origin_interior, primitive,
                                 triangulate_facet, vadd, volume)
-from perigraph.field import det
 
 
 def test_hull_square():
@@ -188,3 +194,165 @@ def test_volume_unimodular_invariance():
     h2 = convex_hull(mapped)
     assert volume(h) == volume(h2)
     assert abs(det([[1, 1], [0, 1]])) == 1
+
+
+# -- differential checks of the integer kernels -------------------------
+
+
+def _reference_contains(region, point):
+    """Membership by exact elimination: solve for the coefficients, check
+    the reconstruction, then 0 <= lambda_j < extent_j."""
+    rel = [p - b for p, b in zip(point, region.base)]
+    gens = region.generators
+    rows = [[g[c] for g in gens] for c in range(len(rel))]
+    lam = solve_linear(rows, rel)
+    if lam is None:
+        return False
+    recon = [sum(l * g[c] for l, g in zip(lam, gens)) for c in range(len(rel))]
+    if any(scalar_sign(r - x) != 0 for r, x in zip(recon, rel)):
+        return False
+    return all(scalar_sign(l) >= 0 and scalar_sign(l - e) < 0
+               for l, e in zip(lam, region.extents))
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+coefficient = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(4, 3), F(-1, 2)])
+
+
+@st.composite
+def regions_and_points(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    gens = tuple(tuple(draw(small) for _ in range(n)) for _ in range(k))
+    assume(matrix_rank(gens) == k)
+    extents = tuple(draw(st.sampled_from([F(1), F(1, 2), F(3), F(5, 3)]))
+                    for _ in range(k))
+    base = tuple(draw(small) for _ in range(n))
+    region = HalfOpenRegion(base, gens, extents)
+    points = []
+    for _ in range(8):
+        # a combination of the generators hits the boundary cases 0 and
+        # extent; a perturbation leaves the span when k < n
+        lam = [draw(coefficient) * e for e in extents]
+        p = [b + sum(l * g[c] for l, g in zip(lam, gens))
+             for c, b in enumerate(base)]
+        if draw(st.booleans()):
+            c = draw(st.integers(0, n - 1))
+            p[c] += draw(small)
+        if draw(st.booleans()):
+            # irrational coordinates along the first generator
+            root = QuadExt(2, 0,
+                           draw(st.sampled_from([F(1, 5), F(-1, 7)])))
+            p = [x + root * g for x, g in zip(p, gens[0])]
+        points.append(tuple(p))
+    return region, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(regions_and_points(), st.booleans())
+def test_half_open_region_matches_elimination(case, draw_irrational):
+    region, points = case
+    for p in points:
+        assert region.contains(p) == _reference_contains(region, p)
+    shift = tuple(F(c + 1, 2) for c in range(len(region.base)))
+    if draw_irrational:
+        shift = (shift[0] + QuadExt(2, 0, F(2, 9)),) + shift[1:]
+    moved = region.translated(shift)
+    assert moved == HalfOpenRegion(vadd(region.base, shift),
+                                   region.generators, region.extents)
+    for p in points:
+        q = vadd(p, shift)
+        assert moved.contains(q) == _reference_contains(region, p)
+
+
+def test_half_open_region_rejects_bad_frames():
+    with pytest.raises(ValueError):
+        HalfOpenRegion((F(0), F(0)), ((F(1), F(2)), (F(2), F(4))),
+                       (F(1), F(1)))
+    with pytest.raises(ValueError):
+        HalfOpenRegion((F(0), F(0)), ((F(1), F(0)),), (F(0),))
+
+
+def _fraction_det(m):
+    if not m:
+        return F(1)
+    return sum((-1) ** j * m[0][j] * _fraction_det([r[:j] + r[j + 1:]
+                                                     for r in m[1:]])
+               for j in range(len(m)))
+
+
+def _fraction_hull(points, n):
+    """The facet scan over Fractions, with cofactor-expansion normals and
+    sympy ranks: the reference for the integer scan of _full_dim_hull."""
+    if n == 1:
+        lo, hi = min(points)[0], max(points)[0]
+        verts = ((lo,),) if lo == hi else ((lo,), (hi,))
+        return Polytope(1, verts, (((1,), F(hi)), ((-1,), F(-lo))))
+    facets = {}
+    for idx in combinations(range(len(points)), n):
+        base = points[idx[0]]
+        diffs = [[a - b for a, b in zip(points[i], base)] for i in idx[1:]]
+        normal = [(-1) ** j * _fraction_det([d[:j] + d[j + 1:]
+                                             for d in diffs])
+                  for j in range(n)]
+        if all(x == 0 for x in normal):
+            continue
+        normal = primitive(normal)
+        b = F(sum(a * x for a, x in zip(normal, base)))
+        sides = {(sum(a * x for a, x in zip(normal, p)) > b)
+                 - (sum(a * x for a, x in zip(normal, p)) < b) for p in points}
+        if {1, -1} <= sides:
+            continue
+        if 1 in sides:
+            normal, b = tuple(-x for x in normal), -b
+        facets[normal] = b
+    facet_list = sorted(facets.items())
+    verts = [p for p in points
+             if sympy.Matrix([a for a, b in facet_list
+                              if sum(x * y for x, y in zip(a, p)) == b]
+                             or [[0] * n]).rank() == n]
+    return Polytope(n, tuple(sorted(verts)), tuple(facet_list))
+
+
+@st.composite
+def point_sets(draw, max_dim=4, small=small):
+    """Rational point sets in 2-max_dim D; about half lie in a proper affine
+    subspace (base plus combinations of fewer than n directions)."""
+    n = draw(st.integers(2, max_dim))
+    m = draw(st.integers(1, 8 if n < 4 else 7))
+    if draw(st.booleans()):
+        return [tuple(draw(small) for _ in range(n)) for _ in range(m)]
+    r = draw(st.integers(0, n - 1))
+    base = tuple(draw(small) for _ in range(n))
+    dirs = [tuple(draw(small) for _ in range(n)) for _ in range(r)]
+    pts = []
+    for _ in range(m):
+        cs = [draw(small) for _ in dirs]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs))
+                         for i, b in enumerate(base)))
+    return pts
+
+
+@settings(max_examples=120, deadline=None)
+@given(point_sets())
+def test_integer_hull_matches_fraction_hull(pts):
+    hull = convex_hull(pts)
+    with mock.patch.object(geometry, "_full_dim_hull", _fraction_hull):
+        reference = convex_hull(pts)
+    assert hull == reference
+    if isinstance(hull, Polytope):
+        assert all(type(b) is F for _, b in hull.facets)
+        assert all(type(x) is int for a, _ in hull.facets for x in a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(3, st.fractions(min_value=-2, max_value=2,
+                                  max_denominator=2)))
+def test_lattice_points_match_box_filter(pts):
+    hull = convex_hull(pts)
+    verts = hull.vertices
+    n = len(verts[0])
+    lo = tuple(min(v[c] for v in verts) for c in range(n))
+    hi = tuple(max(v[c] for v in verts) for c in range(n))
+    assert lattice_points(hull) == [p for p in integer_box(lo, hi)
+                                    if hull.contains(p)]

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from perigraph import parse_net
 from perigraph.cycles import growth_polytope
+from perigraph.field import QuadExt
 from perigraph.geometry import gauge
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
                                   c1, c2, edge_count_ball, support_distance,
@@ -35,6 +37,32 @@ def test_constants_wakatsuki(wakatsuki):
         (1, 1, "p-initial"), (1, 2, "p-initial"), (1, 3, "support")]
     for a in vals:
         assert alpha_ehrhart_window(a.c1, a.c2) is None
+
+
+def test_constants_irrational_realization():
+    # wakatsuki with two classes moved by multiples of sqrt(2): the class
+    # offsets delta are QuadExt, so the region scan translates regions by
+    # an irrational vector; the values are those of per-point elimination
+    g = parse_net("""format: pgnet/1
+name: wakatsuki-q2
+rank: 2
+undirected: true
+class: v0 0 0
+class: v1 1/2+1/10*sqrt(2) 1/2
+class: v2 1/2 -1/7*sqrt(2)
+edge: v0 v1 0 0 1
+edge: v0 v1 -1 0 1
+edge: v0 v1 -1 -1 1
+edge: v0 v2 0 0 1
+edge: v1 v2 0 0 1
+""")
+    vals = [asymptotic_constants(g, origin(g, i)) for i in range(3)]
+    assert [(a.c1, a.c2, a.variant) for a in vals] == [
+        (QuadExt(2, 1, F(-1, 5)), QuadExt(2, 1, F(2, 7)), "p-initial"),
+        (QuadExt(2, 1, F(3, 35)), QuadExt(2, 2, F(3, 35)), "p-initial"),
+        (QuadExt(2, 1, F(3, 35)), 3, "support")]
+    assert [well_arranged(g, origin(g, i)).status for i in range(3)] == [
+        "unknown", "unknown", "not-well-arranged"]
 
 
 def test_constants_dia(dia):
