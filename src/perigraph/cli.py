@@ -10,6 +10,7 @@ verdict (check commands), 2 usage or input errors and searches that exceed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -221,7 +222,9 @@ def cmd_invariants(args):
 def cmd_wellarranged(args):
     graph = _load_graph(args)
     x0 = _start_vertex(graph, args)
-    result = _inv.well_arranged(graph, x0, max_states=args.max_states)
+    cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
+    result = _inv.well_arranged(graph, x0, cycles=cyc,
+                                max_states=args.max_states)
     report = {
         "graph": graph.name,
         "start": graph.class_names[x0.cls],
@@ -245,13 +248,14 @@ def cmd_series(args):
         den = IntPolynomial([Fraction(x) for x in args.denominator.split()])
         report["denominator_source"] = "given"
     else:
-        result = _inv.well_arranged(graph, x0, max_states=args.max_states)
+        cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
+        result = _inv.well_arranged(graph, x0, cycles=cyc,
+                                    max_states=args.max_states)
         report["well_arranged"] = result.status
         if result.status == "well-arranged":
             den = _series.wa_denominator(result)
             report["denominator_source"] = "well-arranged witness"
         else:
-            cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
             poly = _cycles.growth_polytope(graph, cycles=cyc)
             pdata = _cycles.p_initial_data(graph, x0.cls, cycles=cyc,
                                            polytope=poly)
@@ -279,7 +283,8 @@ def cmd_series(args):
 
 def cmd_density(args):
     graph = _load_graph(args)
-    d = _series.topological_density(graph)
+    cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
+    d = _series.topological_density(graph, cycles=cyc)
     _emit({"graph": graph.name, "density": str(d),
            "density_float": float(d)}, args)
     return 0
@@ -325,7 +330,9 @@ def cmd_gammaq(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="perigraph",
         description="Exact growth analysis of periodic graphs.")

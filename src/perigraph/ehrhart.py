@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
+from .field import exact_floor
 from .geometry import (LowerDimensionalHull, _box, _scan, _shifted_constraints,
                        origin_interior)
 from .quotient import EdgeRecord, QuotientGraph
@@ -22,26 +23,18 @@ def hull_dim(P):
 
 
 def _points(P, v, t, strict, collect):
-    v = tuple(Fraction(x) for x in v)
-    t = Fraction(t)
-    if strict and t <= 0:
-        return [] if collect else 0
-    if t < 0:
+    """Integer points of v + t*P (of v + t*relint P when strict), for exact
+    scalars v and t (rational or QuadExt)."""
+    if t < 0 or (strict and t <= 0):
         return [] if collect else 0
     if t == 0:  # 0*P = {0}: region is the single point v
-        hit = all(x.denominator == 1 for x in v)
-        pt = tuple(int(x) for x in v)
-        if collect:
-            return [pt] if hit else []
-        return 1 if hit else 0
+        pt = tuple(map(exact_floor, v))
+        hits = [pt] if all(a == x for a, x in zip(pt, v)) else []
+        return hits if collect else len(hits)
     cons = _shifted_constraints(P, v, t, strict)
     if cons is None:
         return [] if collect else 0
-    eqs, ineqs = cons
-    lo, hi = _box(P, v, t)
-    if any(a > b for a, b in zip(lo, hi)):
-        return [] if collect else 0
-    return _scan(eqs, ineqs, lo, hi, collect=collect)
+    return _scan(*cons, *_box(P, v, t), collect=collect)
 
 
 def count(P, v, t) -> int:

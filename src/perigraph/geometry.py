@@ -14,7 +14,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .field import (QuadExt, det, exact_ceil, exact_floor, matrix_rank,
@@ -451,6 +451,31 @@ class HalfOpenRegion:
                 return False
         return True
 
+    def support(self, point):
+        """Bit mask of the generators with a nonzero coefficient at a point
+        of the region."""
+        return sum(1 << j for j, (form, off) in enumerate(self._tests[1])
+                   if sum(map(mul, form, point)) != off)
+
+    def integer_points(self):
+        """Integer points of the region in lexicographic order, by a
+        constraint scan of its bounding box: for integral u,
+        0 <= f.u - off < B holds exactly when ceil(off) <= f.u and
+        f.u <= ceil(off + B) - 1."""
+        equalities, forms, bound = self._tests
+        eqs, ineqs = [], []
+        for form, rhs in equalities:
+            r = exact_floor(rhs)
+            if r != rhs:
+                return []
+            eqs.append((form, r))
+        for form, off in forms:
+            ineqs.append((form, exact_ceil(off + bound) - 1))
+            ineqs.append((tuple(-x for x in form), -exact_ceil(off)))
+        lo, hi = self.bounding_box()
+        return _scan(eqs, ineqs, tuple(map(exact_ceil, lo)),
+                     tuple(map(exact_floor, hi)), collect=True)
+
     def bounding_box(self):
         n = len(self.base)
         lo, hi = list(self.base), list(self.base)
@@ -462,14 +487,6 @@ class HalfOpenRegion:
                 else:
                     lo[c] = lo[c] + step
         return tuple(lo), tuple(hi)
-
-
-def region_union_box(regions):
-    los, his = zip(*(r.bounding_box() for r in regions))
-    n = len(los[0])
-    lo = tuple(min(l[c] for l in los) for c in range(n))
-    hi = tuple(max(h[c] for h in his) for c in range(n))
-    return lo, hi
 
 
 def integer_box(lo, hi):
@@ -558,37 +575,26 @@ def _scan(eqs, ineqs, lo, hi, collect=False):
 
 
 def _shifted_constraints(P, v, t, strict):
-    """Integerized constraints for the region v + t*P (t > 0)."""
+    """Integerized constraints for the region v + t*P (t > 0); exact scalars,
+    so v may have QuadExt coordinates."""
     eqs, ineqs = _hrep(P)
     out_eqs, out_ineqs = [], []
     for a, f in eqs:
         rhs = vdot(a, v) + t * f
-        if rhs.denominator != 1:
+        r = exact_floor(rhs)
+        if r != rhs:
             return None  # no integer point can satisfy an integral form
-        out_eqs.append((a, int(rhs)))
+        out_eqs.append((a, r))
     for a, b in ineqs:
         rhs = vdot(a, v) + t * b
-        if strict:
-            bound = int(rhs) - 1 if rhs.denominator == 1 else floor(rhs)
-        else:
-            bound = floor(rhs)
-        out_ineqs.append((a, bound))
+        out_ineqs.append((a, exact_ceil(rhs) - 1 if strict
+                          else exact_floor(rhs)))
     return out_eqs, out_ineqs
 
 
 def _box(P, v, t):
-    verts = [tuple(Fraction(x) * t + Fraction(y) for x, y in zip(w, v))
-             for w in P.vertices]
+    verts = [tuple(x * t + y for x, y in zip(w, v)) for w in P.vertices]
     n = len(v)
-    lo = tuple(ceil(min(w[c] for w in verts)) for c in range(n))
-    hi = tuple(floor(max(w[c] for w in verts)) for c in range(n))
+    lo = tuple(exact_ceil(min(w[c] for w in verts)) for c in range(n))
+    hi = tuple(exact_floor(max(w[c] for w in verts)) for c in range(n))
     return lo, hi
-
-
-def lattice_points(poly) -> list:
-    """Integer points of a rational polytope (full- or lower-dimensional)."""
-    origin = (0,) * poly.ambient_dim
-    cons = _shifted_constraints(poly, origin, 1, strict=False)
-    if cons is None:
-        return []
-    return _scan(*cons, *_box(poly, origin, 1), collect=True)

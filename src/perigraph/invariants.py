@@ -16,12 +16,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cycles import enumerate_cycles, growth_polytope, nu_image, p_initial_data
-from .field import exact_ceil, scalar_sign
+from .ehrhart import count
+from .field import scalar_sign
 from .geometry import (HalfOpenRegion, LowerDimensionalHull, gauge,
-                       integer_box, region_union_box, triangulate_facet, vadd,
-                       vscale, vsub)
+                       origin_interior, triangulate_facet, vadd, vscale, vsub)
 from .quotient import (EdgeRecord, GraphError, QuotientGraph, Vertex, ball,
-                       is_strongly_connected, reachable_classes)
+                       cumulative, growth_sequence, is_strongly_connected,
+                       reachable_classes)
 
 
 def _require_realization(graph):
@@ -113,19 +114,18 @@ def region_from_triangulations(graph, polytope, d_map, apices=None):
 
 
 def vertices_in_regions(graph, x0, regions):
-    """Graph vertices y with Phi(y) - Phi(x0) in the union of regions."""
-    lo, hi = region_union_box(regions)
+    """Graph vertices y with Phi(y) - Phi(x0) in the union of regions, class
+    by class and in lexicographic order of the offset."""
     found = []
     for cls in range(graph.num_classes):
         delta = _delta(graph, x0, cls)
         # Phi(y) - Phi(x0) = delta + u for y at offset x0.offset + u, so the
-        # regions translated by -delta are tested on the int vectors u
-        shifted = [r.translated(vscale(-1, delta)) for r in regions]
-        for u in integer_box(vsub(lo, delta), vsub(hi, delta)):
-            if any(r.contains(u) for r in shifted):
-                found.append((Vertex(cls, tuple(a + b for a, b in
-                                                zip(x0.offset, u))),
-                              vadd(delta, u)))
+        # hits are the integer points u of the regions translated by -delta
+        shift = vscale(-1, delta)
+        hits = set().union(*(r.translated(shift).integer_points()
+                             for r in regions))
+        found.extend((Vertex(cls, vadd(x0.offset, u)), vadd(delta, u))
+                     for u in sorted(hits))
     return found
 
 
@@ -252,36 +252,22 @@ def alpha_ehrhart_window(c1_value, c2_value):
 
 def verify_alpha_ehrhart(graph: QuotientGraph, x0: Vertex, alpha, imax: int,
                          polytope=None, max_states=10_000_000) -> bool:
-    """Check b_i == #{y : gauge(Phi(y) - Phi(x0)) <= i + alpha} for i<=imax."""
+    """Check b_i == #{y : gauge(Phi(y) - Phi(x0)) <= i + alpha} for i<=imax.
+
+    With the origin interior to P, gauge(delta + u) <= t exactly when u lies
+    in -delta + t*P, so each class contributes one shifted Ehrhart count."""
     _require_realization(graph)
     alpha = Fraction(alpha)
     if polytope is None:
         polytope = growth_polytope(graph)
-    from .quotient import cumulative, growth_sequence
+    if not origin_interior(polytope):
+        raise ValueError("the alpha-Ehrhart check requires the origin "
+                         "interior to the growth polytope")
     b = cumulative(growth_sequence(graph, x0, imax + 1, max_states=max_states))
-    tmax = imax + alpha
-    if tmax < 0:
-        return all(x == 0 for x in b)
-    counts = [0] * (imax + 1)
-    n = graph.rank
-    scaled = [tuple(tmax * c for c in v) for v in polytope.vertices]
-    lo = tuple(min(v[c] for v in scaled) for c in range(n))
-    hi = tuple(max(v[c] for v in scaled) for c in range(n))
-    for cls in range(graph.num_classes):
-        delta = _delta(graph, x0, cls)
-        for u in integer_box(vsub(lo, delta), vsub(hi, delta)):
-            g = gauge(polytope, vadd(delta, u))
-            if scalar_sign(g - tmax) > 0:
-                continue
-            # smallest i with i + alpha >= g
-            i = max(0, exact_ceil(g - alpha))
-            while scalar_sign(i + alpha - g) < 0:  # guard against ties
-                i += 1
-            if i <= imax:
-                counts[i] += 1
-    for i in range(1, imax + 1):
-        counts[i] += counts[i - 1]
-    return counts == b
+    shifts = [vscale(-1, _delta(graph, x0, cls))
+              for cls in range(graph.num_classes)]
+    return b == [sum(count(polytope, v, i + alpha) for v in shifts)
+                 for i in range(imax + 1)]
 
 
 @dataclass(frozen=True)
@@ -296,7 +282,7 @@ class WellArrangedResult:
 
 
 def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
-                  max_states=10_000_000) -> WellArrangedResult:
+                  max_states=10_000_000, cycles=None) -> WellArrangedResult:
     """Search for well-arrangement data at x0.
 
     Semi-decision: a negative verdict is returned only with a proof (the
@@ -307,7 +293,8 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
     if not graph.undirected:
         return WellArrangedResult("not-well-arranged", "graph is directed",
                                   None, None, None, None, None)
-    cycles = enumerate_cycles(graph)
+    if cycles is None:
+        cycles = enumerate_cycles(graph)
     polytope = growth_polytope(graph, cycles=cycles)
     if not is_strongly_connected(graph, cycles=cycles, polytope=polytope):
         raise GraphError("well-arranged search needs a strongly connected graph")
@@ -356,24 +343,26 @@ def _class_ball(graph, cls, radius, cache, max_states):
 
 
 def _wa_condition(graph, x0, d_map, simplex, ball_cache, max_states):
-    """Check the distance-splitting identity for every subset of a simplex."""
-    n = graph.rank
-    origin = tuple(Fraction(0) for _ in range(n))
+    """Check the distance-splitting identity for every subset S of a simplex.
+
+    The half-open region of S is the face of the simplex's region where the
+    coefficients outside S vanish, so one scan of the full region serves
+    every subset: a point belongs to S when its support mask lies in S."""
     full_sum = sum(d_map[v] for v in simplex)
     dist0 = _class_ball(graph, x0.cls, full_sum, ball_cache, max_states)
+    gens = tuple(tuple(d_map[v] * c for c in v) for v in simplex)
+    if any(x.denominator != 1 for g in gens for x in g):
+        return False  # d_v * v must be a lattice vector
+    region = HalfOpenRegion((0,) * graph.rank, gens, (1,) * len(gens))
+    points = [(y, region.support(rel))
+              for y, rel in vertices_in_regions(graph, x0, [region])]
     for mask in range(1, 1 << len(simplex)):
-        subset = [v for j, v in enumerate(simplex) if mask >> j & 1]
-        total = sum(d_map[v] for v in subset)
-        step = origin
-        for v in subset:
-            step = vadd(step, tuple(d_map[v] * c for c in v))
-        if any(x.denominator != 1 for x in step):
-            return False  # d_v * v must be a lattice vector
-        z_rel = tuple(int(x) for x in step)
-        gens = tuple(tuple(d_map[v] * c for c in v) for v in subset)
-        region = HalfOpenRegion(origin, gens,
-                                tuple(Fraction(1) for _ in subset))
-        for y, _rel in vertices_in_regions(graph, x0, [region]):
+        subset = [j for j in range(len(simplex)) if mask >> j & 1]
+        total = sum(d_map[simplex[j]] for j in subset)
+        z_rel = tuple(int(sum(col)) for col in zip(*(gens[j] for j in subset)))
+        for y, support in points:
+            if support & ~mask:
+                continue
             # d(x0,y): translate so x0 has offset 0
             y0 = Vertex(y.cls, tuple(a - b for a, b in
                                      zip(y.offset, x0.offset)))

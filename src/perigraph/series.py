@@ -382,11 +382,11 @@ def wa_denominator(result) -> IntPolynomial:
     return out * (1 / out[0])
 
 
-def topological_density(graph):
+def topological_density(graph, cycles=None):
     """n * c * Vol_L(P_Gamma): the leading growth constant n*c*vol."""
     from .cycles import growth_polytope
     from .geometry import LowerDimensionalHull, volume
-    poly = growth_polytope(graph)
+    poly = growth_polytope(graph, cycles=cycles)
     if isinstance(poly, LowerDimensionalHull):
         raise ValueError("growth polytope is lower-dimensional")
     return graph.rank * graph.num_classes * volume(poly)

@@ -8,6 +8,7 @@ from perigraph.ehrhart import (count, count_interior, fit_shifted_qp, gamma_q,
                                interior_shell_check, is_reflexive,
                                lattice_points_of, minimal_dilation,
                                shifted_count, verify_reciprocity)
+from perigraph.field import QuadExt, exact_floor
 from perigraph.geometry import convex_hull
 from perigraph.quotient import Vertex, ball, cumulative, growth_sequence
 from perigraph.series import FitError
@@ -67,6 +68,43 @@ def test_counts_against_oracle_random():
         for t in (F(0), F(1, 2), F(1), F(5, 2), F(3)):
             assert count(P, v, t) == brute_count(P, v, t, False)
             assert count_interior(P, v, t) == brute_count(P, v, t, True)
+
+
+def _brute_count_exact(P, v, t, strict):
+    """Oracle for exact (also QuadExt) shifts: test every integer point of
+    a covering box with Polytope.contains on (p - v) / t."""
+    if t < 0 or (strict and t <= 0):
+        return 0
+    verts = [[a * t + b for a, b in zip(w, v)] for w in P.vertices]
+    ranges = [range(exact_floor(min(w[c] for w in verts)) - 1,
+                    exact_floor(max(w[c] for w in verts)) + 2)
+              for c in range(len(v))]
+    if t == 0:
+        return sum(all(x == b for x, b in zip(p, v))
+                   for p in itertools.product(*ranges))
+    return sum(P.contains([(x - b) / t for x, b in zip(p, v)], strict=strict)
+               for p in itertools.product(*ranges))
+
+
+def test_counts_with_irrational_shift():
+    rng = random.Random(5)
+    root = QuadExt(2, 0, 1)
+    cases = [(convex_hull([(F(0), F(0)), (F(2), F(4))]),
+              (root, 2 * root)),                      # on the segment's line
+             (convex_hull([(F(0), F(0)), (F(2), F(4))]), (root, F(0)))]
+    while len(cases) < 10:
+        pts = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
+                     for _ in range(2)) for _ in range(rng.randint(3, 6))]
+        P = convex_hull(pts)
+        if hasattr(P, "facets"):
+            x = F(rng.randint(-3, 3), 2) + root / rng.randint(2, 5)
+            cases.append((P, (x, F(rng.randint(-3, 3), rng.randint(1, 2)))))
+    for P, v in cases:
+        for t in (F(0), F(1, 2), F(1), F(5, 2), F(3)):
+            assert count(P, v, t) == _brute_count_exact(P, v, t, False)
+            assert count_interior(P, v, t) == _brute_count_exact(P, v, t, True)
+    assert count(cases[0][0], cases[0][1], 3) == 6    # y = 2x, x in 2..7
+    assert count(cases[1][0], cases[1][1], 3) == 0    # 2x - y = 2 sqrt 2
 
 
 def test_lower_dimensional_counts():

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perigraph import geometry
+from perigraph.ehrhart import lattice_points_of
 from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
                              solve_linear)
 from perigraph.geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
                                 convex_hull, gauge, integer_box,
-                                lattice_points, origin_interior, primitive,
-                                triangulate_facet, vadd, volume)
+                                origin_interior, primitive, triangulate_facet,
+                                vadd, volume)
 
 
 def test_hull_square():
@@ -157,11 +158,11 @@ def test_integer_box():
 
 def test_lattice_points_polytope():
     h = convex_hull([(F(0), F(0)), (F(2), F(0)), (F(0), F(2))])
-    pts = lattice_points(h)
+    pts = lattice_points_of(h)
     assert len(pts) == 6
     # lower-dimensional: a diagonal segment
     seg = convex_hull([(F(0), F(0)), (F(3), F(3))])
-    assert sorted(lattice_points(seg)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert sorted(lattice_points_of(seg)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
 def test_hull_random_2d_matches_det_orientation_oracle():
@@ -354,5 +355,55 @@ def test_lattice_points_match_box_filter(pts):
     n = len(verts[0])
     lo = tuple(min(v[c] for v in verts) for c in range(n))
     hi = tuple(max(v[c] for v in verts) for c in range(n))
-    assert lattice_points(hull) == [p for p in integer_box(lo, hi)
+    assert lattice_points_of(hull) == [p for p in integer_box(lo, hi)
                                     if hull.contains(p)]
+
+
+@st.composite
+def scan_regions(draw):
+    """Full and lower-dimensional regions in 1-3 D, with a rational base or
+    one translated by an irrational vector."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    gens = tuple(tuple(draw(small) for _ in range(n)) for _ in range(k))
+    assume(matrix_rank(gens) == k)
+    extents = tuple(draw(st.sampled_from([F(1), F(1, 2), F(3), F(5, 3)]))
+                    for _ in range(k))
+    region = HalfOpenRegion(tuple(draw(small) for _ in range(n)), gens,
+                            extents)
+    if draw(st.booleans()):
+        shift = [draw(small) for _ in range(n)]
+        shift[draw(st.integers(0, n - 1))] += QuadExt(
+            2, 0, draw(st.sampled_from([F(1, 5), F(-1, 3), F(2)])))
+        region = region.translated(tuple(shift))
+    return region
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_regions())
+def test_region_scan_matches_box_filter(region):
+    reference = [p for p in integer_box(*region.bounding_box())
+                 if region.contains(p)]
+    assert region.integer_points() == reference
+    for p in reference:
+        rel = [x - b for x, b in zip(p, region.base)]
+        lam = solve_linear([[g[c] for g in region.generators]
+                            for c in range(len(rel))], rel)
+        assert region.support(p) == sum(1 << j for j, x in enumerate(lam)
+                                        if x != 0)
+
+
+def test_region_scan_irrational_base():
+    # the segment from (sqrt(2), 0) along (1, 1) lies on y - x = -sqrt(2),
+    # which holds no integer point
+    r = HalfOpenRegion((QuadExt(2, 0, 1), F(0)), ((F(1), F(1)),), (F(5),))
+    assert r.integer_points() == []
+    # along (1, 0) the equality is y = 1, and x runs over [sqrt(2), sqrt(2)+3)
+    r = HalfOpenRegion((QuadExt(2, 0, 1), F(1)), ((F(1), F(0)),), (F(3),))
+    assert r.integer_points() == [(2, 1), (3, 1), (4, 1)]
+    # a unimodular cell at (sqrt(2), 0): its coefficients x - y - sqrt(2)
+    # and 2y - x + sqrt(2) lie in [0, 1) only at (3, 1); (2, 0) in the box
+    # misses both lower bounds by less than one
+    r = HalfOpenRegion((QuadExt(2, 0, 1), F(0)), ((F(2), F(1)), (F(1), F(1))),
+                       (F(1), F(1)))
+    assert r.integer_points() == [(3, 1)]

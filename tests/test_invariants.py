@@ -1,12 +1,15 @@
 import time
+from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from perigraph import parse_net
+from perigraph import invariants, parse_net
 from perigraph.cycles import growth_polytope
 from perigraph.field import QuadExt
-from perigraph.geometry import gauge
+from perigraph.geometry import (HalfOpenRegion, convex_hull, gauge,
+                                integer_box, vadd, vsub)
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
                                   c1, c2, edge_count_ball, support_distance,
                                   verify_alpha_ehrhart, well_arranged)
@@ -190,3 +193,93 @@ def test_c1_stable_under_larger_balls(z2, dia):
             if diff > worst:
                 worst = diff
         assert worst <= val
+
+
+def _wa_condition_per_subset(graph, x0, d_map, simplex, ball_cache,
+                             max_states):
+    """The well-arranged check with one region and one box scan per subset
+    of the simplex: the reference for the single scan of _wa_condition."""
+    origin = (F(0),) * graph.rank
+    full_sum = sum(d_map[v] for v in simplex)
+    dist0 = invariants._class_ball(graph, x0.cls, full_sum, ball_cache,
+                                   max_states)
+    for mask in range(1, 1 << len(simplex)):
+        subset = [v for j, v in enumerate(simplex) if mask >> j & 1]
+        total = sum(d_map[v] for v in subset)
+        gens = tuple(tuple(d_map[v] * c for c in v) for v in subset)
+        step = [sum(col) for col in zip(*gens)]
+        if any(x.denominator != 1 for x in step):
+            return False
+        region = HalfOpenRegion(origin, gens, (F(1),) * len(gens))
+        lo, hi = region.bounding_box()
+        for cls in range(graph.num_classes):
+            delta = invariants._delta(graph, x0, cls)
+            for u in integer_box(vsub(lo, delta), vsub(hi, delta)):
+                if not region.contains(vadd(delta, u)):
+                    continue
+                # y = x0 + u; z = x0 + step, so z - y = step - u
+                d1 = dist0.get(Vertex(cls, u))
+                if d1 is None or d1 > total:
+                    return False
+                dist_y = invariants._class_ball(graph, cls, full_sum,
+                                                ball_cache, max_states)
+                d2 = dist_y.get(Vertex(x0.cls, tuple(
+                    int(z) - a for z, a in zip(step, u))))
+                if d2 is None or d1 + d2 != total:
+                    return False
+    return True
+
+
+def sheared(graph, u):
+    def apply(vec):
+        return tuple(sum(r * x for r, x in zip(row, vec)) for row in u)
+    return replace(graph, edges=tuple(replace(e, vector=apply(e.vector))
+                                      for e in graph.edges),
+                   realization=tuple(map(apply, graph.realization)))
+
+
+def test_well_arranged_matches_per_subset_check(z1, z2, z3, dia, wakatsuki):
+    shear3 = ((1, 1, 0), (0, 1, -1), (0, 0, 1))
+    cases = [(g, origin(g)) for g in (z1, z2, z3, dia)]
+    cases += [(wakatsuki, origin(wakatsuki, i)) for i in range(3)]
+    cases += [(sheared(z3, shear3), origin(z3)),
+              (sheared(dia, shear3), origin(dia)),
+              (sheared(wakatsuki, ((1, 1), (0, 1))), origin(wakatsuki, 1))]
+    statuses = []
+    for g, x0 in cases:
+        got = well_arranged(g, x0)
+        with mock.patch.object(invariants, "_wa_condition",
+                               _wa_condition_per_subset):
+            want = well_arranged(g, x0)
+        assert got == want
+        statuses.append(got.status)
+    assert statuses.count("well-arranged") == 6
+
+
+TWO_CLASS_Q2 = """format: pgnet/1
+name: two-class-q2
+rank: 1
+undirected: true
+class: a 0
+class: b 1/2+1/100*sqrt(2)
+edge: a b 0 1
+edge: b a 1 1
+"""
+
+
+def test_two_class_irrational_constants_and_alpha_window():
+    g = parse_net(TWO_CLASS_Q2)
+    for cls in range(2):
+        ac = asymptotic_constants(g, origin(g, cls))
+        assert (ac.c1, ac.c2) == (QuadExt(2, 0, F(1, 50)),) * 2
+    x0 = origin(g)
+    got = [verify_alpha_ehrhart(g, x0, alpha, 8)
+           for alpha in (0, F(1, 2), F(-1, 2), F(9, 10), 1)]
+    assert got == [False, True, False, True, False]
+
+
+def test_alpha_ehrhart_requires_origin_interior(z2):
+    off_center = convex_hull([(F(1), F(0)), (F(2), F(0)), (F(1), F(1)),
+                              (F(2), F(1))])
+    with pytest.raises(ValueError, match="origin interior"):
+        verify_alpha_ehrhart(z2, origin(z2), F(-5), 3, polytope=off_center)

@@ -152,6 +152,23 @@ def test_cli_budget_overrun_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["wellarranged", "series", "density"])
+def test_cli_max_cycles_exits_2(command, capsys):
+    # dia has 16 cycles
+    assert run_command([command, str(fixture_path("dia.net")),
+                        "--max-cycles", "1"]) == 2
+    assert "cycle enumeration exceeded" in capsys.readouterr().err
+
+
+def test_cli_shared_parser_keeps_defaults(capsys):
+    path = str(fixture_path("z2.net"))
+    assert run_command(["growth", path, "--terms", "3",
+                        "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["s"]) == 3
+    assert run_command(["growth", path, "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["s"]) == 20
+
+
 def test_cli_invariants_not_strongly_connected(tmp_path, capsys, one_way):
     net = tmp_path / "one_way.net"
     net.write_text(emit_net(one_way))
