@@ -256,9 +256,11 @@ def cmd_series(args):
             den = _series.wa_denominator(result)
             report["denominator_source"] = "well-arranged witness"
         else:
-            poly = _cycles.growth_polytope(graph, cycles=cyc)
-            pdata = _cycles.p_initial_data(graph, x0.cls, cycles=cyc,
-                                           polytope=poly)
+            pdata = result.pdata
+            if pdata is None:  # well_arranged refused a directed graph first
+                poly = _cycles.growth_polytope(graph, cycles=cyc)
+                pdata = _cycles.p_initial_data(graph, x0.cls, cycles=cyc,
+                                               polytope=poly)
             if not pdata.is_p_initial:
                 raise CliError("start vertex is not P-initial and no "
                                "denominator was given")

@@ -75,16 +75,24 @@ def fit_shifted_qp(P, v, alpha, period=None, verify_periods=3
     M = hull_dim(P)
     N = period or minimal_dilation(P) * alpha.denominator
     valid_from = ceil(-alpha)
+    # the verification recounts every dilation the fit interpolated through;
+    # the memo lives for this call only
+    counts = {}
+
+    def h(d):
+        if d not in counts:
+            counts[d] = shifted_count(P, v, alpha, d)
+        return counts[d]
+
     constituents = [None] * N
     for r in range(N):
         d0 = valid_from + ((r - valid_from) % N)
         xs = [d0 + N * j for j in range(M + 1)]
-        pts = [(d, shifted_count(P, v, alpha, d)) for d in xs]
-        constituents[d0 % N] = interpolate(pts)
+        constituents[d0 % N] = interpolate([(d, h(d)) for d in xs])
     qp = QuasiPolynomial(N, tuple(constituents), valid_from)
     top = valid_from + N * (M + 1) + verify_periods * N
     for d in range(valid_from, top):
-        if qp.evaluate(d) != shifted_count(P, v, alpha, d):
+        if qp.evaluate(d) != h(d):
             raise FitError(f"shifted count is not quasi-polynomial with "
                            f"period {N} at d={d}")
     return qp

@@ -119,12 +119,13 @@ def vertices_in_regions(graph, x0, regions):
     found = []
     for cls in range(graph.num_classes):
         delta = _delta(graph, x0, cls)
-        # Phi(y) - Phi(x0) = delta + u for y at offset x0.offset + u, so the
-        # hits are the integer points u of the regions translated by -delta
+        # Phi(y) - Phi(x0) = delta + u for y at offset u (delta holds
+        # -x0.offset), so the hits are the integer points u of the regions
+        # translated by -delta
         shift = vscale(-1, delta)
         hits = set().union(*(r.translated(shift).integer_points()
                              for r in regions))
-        found.extend((Vertex(cls, vadd(x0.offset, u)), vadd(delta, u))
+        found.extend((Vertex(cls, u), vadd(delta, u))
                      for u in sorted(hits))
     return found
 
@@ -279,6 +280,7 @@ class WellArrangedResult:
     simplices: tuple | None  # all witness simplices (tuples of vertices)
     polytope: object | None
     multiple: int | None
+    pdata: object | None = None  # x0's class p_initial_data, once computed
 
 
 def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
@@ -303,8 +305,9 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
         return WellArrangedResult(
             "not-well-arranged",
             f"start vertex is not P-initial (unrealized: {pdata.missing})",
-            None, None, None, None, None)
+            None, None, None, None, None, pdata)
     base_d = {v: w for v, (w, _) in pdata.witnesses.items()}
+    fans = {}  # (facet, apex) -> fan; the same for every multiple
     for multiple in range(1, max_multiple + 1):
         d_map = {v: multiple * w for v, w in base_d.items()}
         apices = {}
@@ -315,7 +318,9 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
             fverts = polytope.facet_vertices(fi)
             chosen = None
             for apex in fverts:
-                simplices = triangulate_facet(polytope, fi, apex=apex)
+                if (fi, apex) not in fans:
+                    fans[fi, apex] = triangulate_facet(polytope, fi, apex=apex)
+                simplices = fans[fi, apex]
                 if all(_wa_condition(graph, x0, d_map, simplex, ball_cache,
                                      max_states)
                        for simplex in simplices):
@@ -329,9 +334,9 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
         if ok:
             return WellArrangedResult("well-arranged", "witness found", d_map,
                                       apices, tuple(all_simplices), polytope,
-                                      multiple)
+                                      multiple, pdata)
     return WellArrangedResult("unknown", "candidate search exhausted", None,
-                              None, None, polytope, None)
+                              None, None, polytope, None, pdata)
 
 
 def _class_ball(graph, cls, radius, cache, max_states):

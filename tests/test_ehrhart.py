@@ -3,13 +3,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perigraph.ehrhart import (count, count_interior, fit_shifted_qp, gamma_q,
                                interior_shell_check, is_reflexive,
                                lattice_points_of, minimal_dilation,
                                shifted_count, verify_reciprocity)
 from perigraph.field import QuadExt, exact_floor
-from perigraph.geometry import convex_hull
+from perigraph.geometry import Polytope, convex_hull
 from perigraph.quotient import Vertex, ball, cumulative, growth_sequence
 from perigraph.series import FitError
 
@@ -105,6 +107,31 @@ def test_counts_with_irrational_shift():
             assert count_interior(P, v, t) == _brute_count_exact(P, v, t, True)
     assert count(cases[0][0], cases[0][1], 3) == 6    # y = 2x, x in 2..7
     assert count(cases[1][0], cases[1][1], 3) == 0    # 2x - y = 2 sqrt 2
+
+
+@st.composite
+def shifted_polytopes(draw):
+    """A random rational polytope in 2 or 3 D and a shift, rational or with
+    a QuadExt coordinate."""
+    n = draw(st.integers(2, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    P = convex_hull([tuple(draw(coord) for _ in range(n))
+                     for _ in range(draw(st.integers(n + 1, n + 3)))])
+    assume(isinstance(P, Polytope))
+    v = [draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+         for _ in range(n)]
+    if draw(st.booleans()):
+        v[draw(st.integers(0, n - 1))] += QuadExt(
+            2, 0, draw(st.sampled_from([F(1, 3), F(-1, 2), F(1)])))
+    return P, tuple(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shifted_polytopes(), st.sampled_from([F(1, 3), F(1), F(3, 2)]))
+def test_counts_match_brute_force_2d_3d(case, t):
+    P, v = case
+    assert count(P, v, t) == _brute_count_exact(P, v, t, False)
+    assert count_interior(P, v, t) == _brute_count_exact(P, v, t, True)
 
 
 def test_lower_dimensional_counts():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -407,3 +407,89 @@ def test_region_scan_irrational_base():
     r = HalfOpenRegion((QuadExt(2, 0, 1), F(0)), ((F(2), F(1)), (F(1), F(1))),
                        (F(1), F(1)))
     assert r.integer_points() == [(3, 1)]
+
+
+# -- the floor-sum slice kernel of _scan ---------------------------------
+
+BIG = 10 ** 12
+coef = st.one_of(st.integers(-3, 3), st.integers(BIG - 2, BIG + 2),
+                 st.integers(-BIG - 2, -BIG + 2))
+
+
+@st.composite
+def int_systems(draw):
+    """(ineqs, lo, hi) in 2-4 D.  Most rows pass through or near one
+    integer point p, so envelopes tie at integer breakpoints; rows may
+    vanish on the last one or two coordinates, come with a parallel or
+    duplicate twin, or carry coefficients near 10^12.  The box may be
+    empty or one point wide in any coordinate."""
+    n = draw(st.integers(2, 4))
+    lo = tuple(draw(st.integers(-3, 2)) for _ in range(n))
+    hi = tuple(x + draw(st.integers(-1, 4)) for x in lo)
+    p = tuple(x + draw(st.integers(0, 3)) for x in lo)
+    ineqs = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = [draw(coef) for _ in range(n)]
+        for c in range(n - draw(st.integers(0, 2)), n):
+            a[c] = 0
+        b = sum(x * y for x, y in zip(a, p)) + draw(
+            st.sampled_from([0, 0, 0, 1, -1, 2, 5]))
+        ineqs.append((tuple(a), b))
+        twin = draw(st.sampled_from(["none", "duplicate", "scaled",
+                                     "shifted", "opposite"]))
+        if twin == "duplicate":
+            ineqs.append((tuple(a), b))
+        elif twin == "scaled":
+            ineqs.append((tuple(2 * x for x in a), 2 * b))
+        elif twin == "shifted":
+            ineqs.append((tuple(a), b + draw(st.integers(-2, 2))))
+        elif twin == "opposite":  # a slab, possibly a single hyperplane
+            ineqs.append((tuple(-x for x in a), -b + draw(st.integers(0, 2))))
+    return ineqs, lo, hi
+
+
+def _box_filter_count(ineqs, lo, hi):
+    box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return sum(all(sum(x * y for x, y in zip(a, pt)) <= b for a, b in ineqs)
+               for pt in box)
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_systems())
+def test_slice_count_matches_enumeration(system):
+    ineqs, lo, hi = system
+    counted = geometry._scan([], ineqs, lo, hi)
+    assert counted == len(geometry._scan([], ineqs, lo, hi, collect=True))
+    assert counted == _box_filter_count(ineqs, lo, hi)
+
+
+def test_slice_count_ties_and_slabs():
+    # two upper lines y <= x and y <= 4 - x meet at the integer point (2, 2)
+    # above the lower line y >= 0: 1 + 2 + 3 + 2 + 1 points
+    rows = [((-1, 1), 0), ((1, 1), 4), ((0, -1), 0)]
+    assert geometry._scan([], rows, (0, 0), (4, 4)) == 9
+    # the slab x + y = 3 (upper and lower line the same) in [0, 5]^2
+    rows = [((1, 1), 3), ((-1, -1), -3)]
+    assert geometry._scan([], rows, (0, 0), (5, 5)) == 4
+    # where the upper line is below the lower one nothing is counted:
+    # y <= x - 4 and y >= 0 in [0, 5]^2 leave only (4, 0), (5, 0), (5, 1)
+    rows = [((-1, 1), -4), ((0, -1), 0)]
+    assert geometry._scan([], rows, (0, 0), (5, 5)) == 3
+    # an empty box, and a row over the first coordinate only
+    assert geometry._scan([], rows, (0, 0), (-1, 5)) == 0
+    assert geometry._scan([], [((1, 0, 0), -1)], (0, 0, 0), (2, 2, 2)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 50), st.integers(-200, 200),
+       st.integers(-200, 200))
+def test_floor_sum_matches_naive_sum(n, m, a, b):
+    assert geometry._floor_sum(n, m, a, b) == sum(
+        (a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_large_and_negative():
+    for n, m, a, b in [(1000, 7, -3, -5), (12, BIG + 1, -BIG, BIG - 1),
+                       (5, 3, -10 ** 15, 10 ** 15 + 2), (0, 5, -1, -1)]:
+        assert geometry._floor_sum(n, m, a, b) == sum(
+            (a * i + b) // m for i in range(n))

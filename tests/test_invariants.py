@@ -4,15 +4,19 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perigraph import invariants, parse_net
+from perigraph import invariants, load_net, parse_net
 from perigraph.cycles import growth_polytope
+from perigraph.geometry import volume
 from perigraph.field import QuadExt
 from perigraph.geometry import (HalfOpenRegion, convex_hull, gauge,
                                 integer_box, vadd, vsub)
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
                                   c1, c2, edge_count_ball, support_distance,
                                   verify_alpha_ehrhart, well_arranged)
+from perigraph.series import topological_density
 from perigraph.quotient import (GraphError, ResourceLimit, Vertex, ball,
                                 cumulative, growth_sequence)
 
@@ -283,3 +287,59 @@ def test_alpha_ehrhart_requires_origin_interior(z2):
                               (F(2), F(1))])
     with pytest.raises(ValueError, match="origin interior"):
         verify_alpha_ehrhart(z2, origin(z2), F(-5), 3, polytope=off_center)
+
+
+# -- invariance under a change of lattice basis --------------------------
+
+def _invariants(graph, x0):
+    ac = asymptotic_constants(graph, x0)
+    wa = well_arranged(graph, x0)
+    return (ac, volume(growth_polytope(graph)), topological_density(graph),
+            wa.status, wa.multiple)
+
+
+@st.composite
+def sheared_starts(draw):
+    """A fixture, a start vertex at a random offset, and the fixture under a
+    product of up to three elementary shears I + s*E_ij with s = +-1."""
+    name = draw(st.sampled_from(["z2", "dia", "wakatsuki"]))
+    graph = load_net(name)
+    n = graph.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([1, -1]))
+        u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+
+    def apply(vec):
+        return tuple(sum(r * x for r, x in zip(row, vec)) for row in u)
+
+    sheared = replace(graph,
+                      edges=tuple(replace(e, vector=apply(e.vector))
+                                  for e in graph.edges),
+                      realization=tuple(map(apply, graph.realization)))
+    cls = draw(st.integers(0, graph.num_classes - 1))
+    offset = tuple(draw(st.integers(-5, 5)) for _ in range(n))
+    return graph, sheared, Vertex(cls, offset)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sheared_starts())
+def test_invariants_unchanged_by_unimodular_maps(case):
+    """c1, c2, volume, density and the well-arranged verdict depend on the
+    net, not on the lattice basis or on where in the lattice x0 sits."""
+    graph, sheared, x0 = case
+    reference = _invariants(graph, origin(graph, x0.cls))
+    assert _invariants(sheared, x0) == reference
+
+
+def test_c2_and_witness_ignore_start_offset(z2, dia):
+    # the region's vertices y sit at offset u with Phi(y) - Phi(x0) =
+    # delta + u; adding x0's offset to u as well gives z2 from (2, 3) the
+    # wrong c2 = 5 and an "unknown" verdict
+    for graph in (z2, dia):
+        x0 = Vertex(0, (2, 3) + (0,) * (graph.rank - 2))
+        ref = _invariants(graph, origin(graph))
+        assert _invariants(graph, x0) == ref
+        assert ref[3] == "well-arranged"
