@@ -11,8 +11,7 @@ from .cycles import (Cycle, PInitialData, enumerate_cycles, growth_polytope,
                      nu, nu_image, p_initial, p_initial_data)
 from .ehrhart import (count, count_interior, fit_shifted_qp, gamma_q,
                       interior_shell_check, is_reflexive, lattice_points_of,
-                      minimal_dilation, shifted_count, shifted_count_interior,
-                      verify_reciprocity)
+                      minimal_dilation, shifted_count, verify_reciprocity)
 from .field import QuadExt, exact_ceil, exact_floor, format_scalar, parse_scalar
 from .geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
                        convex_hull, gauge, origin_interior, triangulate_facet,

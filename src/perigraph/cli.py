@@ -54,6 +54,9 @@ def _start_vertex(graph, args):
     if ":" in name:
         name, off = name.split(":", 1)
         offset = tuple(int(x) for x in off.split(","))
+        if len(offset) != graph.rank:
+            raise CliError(f"start offset {off!r} needs {graph.rank} "
+                           f"coordinates")
     try:
         return graph.vertex(name, offset)
     except ValueError:
@@ -70,8 +73,11 @@ def _emit(report: dict, args):
             print(f"{key}: {value}")
 
 
-def _fraction(text):
-    return Fraction(text)
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"not a rational number: {text!r}") from None
 
 
 # -- plotting ----------------------------------------------------------
@@ -245,7 +251,7 @@ def cmd_series(args):
     x0 = _start_vertex(graph, args)
     report = {"graph": graph.name, "start": graph.class_names[x0.cls]}
     if args.denominator:
-        den = IntPolynomial([Fraction(x) for x in args.denominator.split()])
+        den = IntPolynomial([_rational(x) for x in args.denominator.split()])
         report["denominator_source"] = "given"
     else:
         cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
@@ -294,14 +300,15 @@ def cmd_density(args):
 
 def cmd_ehrhart(args):
     poly, name = _load_polytope(args)
-    shift = tuple(Fraction(x) for x in args.shift.split(",")) if args.shift \
+    shift = tuple(map(_rational, args.shift.split(","))) if args.shift \
         else (Fraction(0),) * poly.ambient_dim
-    alpha = Fraction(args.alpha)
+    alpha = _rational(args.alpha)
     counts = [_ehrhart.shifted_count(poly, shift, alpha, d)
               for d in range(args.terms)]
     report = {"polytope": name, "alpha": str(alpha),
               "shift": tuple(map(str, shift)), "counts": counts}
-    qp = _ehrhart.fit_shifted_qp(poly, shift, alpha)
+    qp = _ehrhart.fit_shifted_qp(poly, shift, alpha,
+                                 counts=dict(enumerate(counts)))
     report["period"] = qp.period
     report["constituents"] = [str(c) for c in qp.constituents]
     report["reciprocity"] = _ehrhart.verify_reciprocity(poly, shift, alpha,

@@ -11,30 +11,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .field import exact_floor
-from .geometry import (LowerDimensionalHull, _box, _scan, _shifted_constraints,
-                       origin_interior)
+from .geometry import LowerDimensionalHull, lattice_scan, origin_interior, vdot
 from .quotient import EdgeRecord, QuotientGraph
 from .series import FitError, QuasiPolynomial, interpolate
 
 
-def hull_dim(P):
-    return P.dim if isinstance(P, LowerDimensionalHull) else P.ambient_dim
-
-
 def _points(P, v, t, strict, collect):
     """Integer points of v + t*P (of v + t*relint P when strict), for exact
-    scalars v and t (rational or QuadExt)."""
+    scalars v and t (rational or QuadExt), from P's H-representation; at
+    t = 0 its rows describe {v}."""
+    if len(v) != P.ambient_dim:
+        raise ValueError(f"shift has {len(v)} coordinates, the polytope "
+                         f"has {P.ambient_dim}")
     if t < 0 or (strict and t <= 0):
         return [] if collect else 0
-    if t == 0:  # 0*P = {0}: region is the single point v
-        pt = tuple(map(exact_floor, v))
-        hits = [pt] if all(a == x for a, x in zip(pt, v)) else []
-        return hits if collect else len(hits)
-    cons = _shifted_constraints(P, v, t, strict)
-    if cons is None:
-        return [] if collect else 0
-    return _scan(*cons, *_box(P, v, t), collect=collect)
+    eqs = [(e, vdot(e, v) + t * f) for e, f in P.equalities]
+    ineqs = [(a, vdot(a, v) + t * b, strict) for a, b in P.facets]
+    columns = list(zip(*P.vertices))
+    lo = tuple(x + t * min(c) for x, c in zip(v, columns))
+    hi = tuple(x + t * max(c) for x, c in zip(v, columns))
+    return lattice_scan(eqs, ineqs, lo, hi, collect=collect)
 
 
 def count(P, v, t) -> int:
@@ -63,21 +59,21 @@ def shifted_count(P, v, alpha, d) -> int:
     return count(P, v, Fraction(d) + Fraction(alpha))
 
 
-def shifted_count_interior(P, v, alpha, d) -> int:
-    return count_interior(P, v, Fraction(d) + Fraction(alpha))
-
-
-def fit_shifted_qp(P, v, alpha, period=None, verify_periods=3
+def fit_shifted_qp(P, v, alpha, period=None, counts=None
                    ) -> QuasiPolynomial:
     """Quasi-polynomial f with f(d) = shifted_count(P, v, alpha, d) for
-    d >= -alpha; constituents have degree <= dim P."""
+    d >= -alpha; constituents have degree <= dim P.  ``counts`` may map
+    some d to shifted_count(P, v, alpha, d), already counted by the caller.
+
+    The fit interpolates through M + 1 dilations per residue class and
+    checks f against the count at every d of the first M + 4 periods."""
     alpha = Fraction(alpha)
-    M = hull_dim(P)
+    M = P.dim
     N = period or minimal_dilation(P) * alpha.denominator
     valid_from = ceil(-alpha)
     # the verification recounts every dilation the fit interpolated through;
-    # the memo lives for this call only
-    counts = {}
+    # the memo starts from the caller's counts and lives for this call only
+    counts = dict(counts or {})
 
     def h(d):
         if d not in counts:
@@ -90,7 +86,7 @@ def fit_shifted_qp(P, v, alpha, period=None, verify_periods=3
         xs = [d0 + N * j for j in range(M + 1)]
         constituents[d0 % N] = interpolate([(d, h(d)) for d in xs])
     qp = QuasiPolynomial(N, tuple(constituents), valid_from)
-    top = valid_from + N * (M + 1) + verify_periods * N
+    top = valid_from + N * (M + 4)
     for d in range(valid_from, top):
         if qp.evaluate(d) != h(d):
             raise FitError(f"shifted count is not quasi-polynomial with "
@@ -104,7 +100,7 @@ def verify_reciprocity(P, v, alpha, qp=None, imax=6) -> bool:
     alpha = Fraction(alpha)
     if qp is None:
         qp = fit_shifted_qp(P, v, alpha)
-    M = hull_dim(P)
+    M = P.dim
     sign = (-1) ** M
     neg_v = tuple(-Fraction(x) for x in v)
     start = floor(alpha) + 1
@@ -142,7 +138,7 @@ def gamma_q(P, name="gamma_q") -> QuotientGraph:
     and vector m for every m in (i*P) n Z^N, for 0 < i < a*(dim P + 1)."""
     n = P.ambient_dim
     a = minimal_dilation(P)
-    d = hull_dim(P)
+    d = P.dim
     origin = (0,) * n
     raw = []
     for i in range(1, a * (d + 1)):

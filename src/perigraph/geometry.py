@@ -76,6 +76,7 @@ class Polytope:
     ambient_dim: int
     vertices: tuple          # sorted tuples of Fractions
     facets: tuple            # (primitive int normal, Fraction rhs)
+    equalities = ()          # none: the affine hull is the whole space
 
     @property
     def dim(self):
@@ -98,8 +99,9 @@ class LowerDimensionalHull:
     """Hull of points whose affine span is a proper subspace.
 
     ``base``/``basis`` give the affine hull; ``hull`` is the full-dimensional
-    polytope in affine coordinates; ``equalities``/``inequalities`` are the
-    ambient H-representation (e.x = f, a.x <= b).
+    polytope in affine coordinates; ``equalities``/``facets`` are the ambient
+    H-representation (e.x = f, a.x <= b), each row a primitive int normal
+    with a Fraction right side, as in ``Polytope.facets``.
     """
 
     ambient_dim: int
@@ -109,7 +111,7 @@ class LowerDimensionalHull:
     hull: Polytope | None    # None when dim == 0
     vertices: tuple          # ambient coordinates
     equalities: tuple
-    inequalities: tuple
+    facets: tuple
     _coord_matrix: tuple     # rows of M with lambda = M (x - base)
 
     def affine_coords(self, point):
@@ -124,8 +126,8 @@ class LowerDimensionalHull:
         lam = self.affine_coords(point)
         if lam is None:
             return False
-        if self.dim == 0:
-            return not strict
+        if self.dim == 0:  # a point is its own relative interior
+            return True
         return self.hull.contains(lam, strict=strict)
 
 
@@ -242,19 +244,21 @@ def convex_hull(points):
         coord_rows.append(row)
     lam_points = [tuple(vdot(row, vsub(p, base)) for row in coord_rows) for p in pts]
     sub = _full_dim_hull(_dedupe_sorted(lam_points), k)
-    # lift facet inequalities to ambient space
-    ineqs = []
+    # lift facet inequalities to ambient space: a.lam <= b reads
+    # amb.x <= b + amb.base, scaled to a primitive int normal
+    facets = []
     for a, b in sub.facets:
         amb = tuple(sum(Fraction(a[i]) * coord_rows[i][c] for i in range(k))
                     for c in range(n))
-        rhs = b + vdot(amb, base)
-        ineqs.append((amb, rhs))
+        normal = primitive(amb)
+        scale = next(p / x for p, x in zip(normal, amb) if x)
+        facets.append((normal, scale * (b + vdot(amb, base))))
     lam_to_amb = {}
     for p, lam in zip(pts, lam_points):
         lam_to_amb.setdefault(lam, p)
     verts = tuple(sorted(lam_to_amb[lam] for lam in sub.vertices))
     return LowerDimensionalHull(n, k, base, tuple(basis), sub, verts,
-                                equalities, tuple(ineqs), tuple(coord_rows))
+                                equalities, tuple(facets), tuple(coord_rows))
 
 
 def origin_interior(poly) -> bool:
@@ -459,23 +463,16 @@ class HalfOpenRegion:
                    if sum(map(mul, form, point)) != off)
 
     def integer_points(self):
-        """Integer points of the region in lexicographic order, by a
-        constraint scan of its bounding box: for integral u,
-        0 <= f.u - off < B holds exactly when ceil(off) <= f.u and
-        f.u <= ceil(off + B) - 1."""
+        """Integer points of the region in lexicographic order: for
+        integral u, 0 <= f.u - off < B reads f.u < off + B and
+        -f.u <= -off."""
         equalities, forms, bound = self._tests
-        eqs, ineqs = [], []
-        for form, rhs in equalities:
-            r = exact_floor(rhs)
-            if r != rhs:
-                return []
-            eqs.append((form, r))
+        ineqs = []
         for form, off in forms:
-            ineqs.append((form, exact_ceil(off + bound) - 1))
-            ineqs.append((tuple(-x for x in form), -exact_ceil(off)))
-        lo, hi = self.bounding_box()
-        return _scan(eqs, ineqs, tuple(map(exact_ceil, lo)),
-                     tuple(map(exact_floor, hi)), collect=True)
+            ineqs.append((form, off + bound, True))
+            ineqs.append((tuple(-x for x in form), -off, False))
+        return lattice_scan(equalities, ineqs, *self.bounding_box(),
+                            collect=True)
 
     def bounding_box(self):
         n = len(self.base)
@@ -497,24 +494,6 @@ def integer_box(lo, hi):
     for r in ranges:
         out = [p + (x,) for p in out for x in r]
     return out
-
-
-def _hrep(P):
-    """(equalities, inequalities) of P in ambient coordinates, integer rows."""
-    eqs, ineqs = [], []
-    if isinstance(P, LowerDimensionalHull):
-        eq_src = P.equalities
-        in_src = P.inequalities
-    else:
-        eq_src = ()
-        in_src = P.facets
-    for a, b in eq_src:
-        scale = lcm(*(Fraction(x).denominator for x in a))
-        eqs.append((tuple(int(x * scale) for x in a), Fraction(b) * scale))
-    for a, b in in_src:
-        scale = lcm(*(Fraction(x).denominator for x in a))
-        ineqs.append((tuple(int(x * scale) for x in a), Fraction(b) * scale))
-    return eqs, ineqs
 
 
 def _interval(lo, hi, rows):
@@ -632,8 +611,8 @@ def _count_slice(upper, lower, rows, xlo, xhi, cs):
 def _scan(eqs, ineqs, lo, hi, collect=False):
     """Integer points satisfying e.x == f and a.x <= b inside box [lo, hi].
 
-    All coefficients integral; rhs of equalities must be integers (callers
-    reject fractional equality rhs).  The leaf resolves the last coordinate
+    All coefficients and right sides integral; ``lattice_scan`` rounds exact
+    right sides and boxes to this form.  The leaf resolves the last coordinate
     by interval arithmetic.  A count (collect=False) of a system without
     equalities resolves the last two coordinates of each slice by exact
     floor sums (``_count_slice``), so it takes O(t^(n-2)) slices in place of
@@ -697,27 +676,24 @@ def _scan(eqs, ineqs, lo, hi, collect=False):
     return points if collect else count
 
 
-def _shifted_constraints(P, v, t, strict):
-    """Integerized constraints for the region v + t*P (t > 0); exact scalars,
-    so v may have QuadExt coordinates."""
-    eqs, ineqs = _hrep(P)
-    out_eqs, out_ineqs = [], []
-    for a, f in eqs:
-        rhs = vdot(a, v) + t * f
-        r = exact_floor(rhs)
-        if r != rhs:
-            return None  # no integer point can satisfy an integral form
-        out_eqs.append((a, r))
-    for a, b in ineqs:
-        rhs = vdot(a, v) + t * b
-        out_ineqs.append((a, exact_ceil(rhs) - 1 if strict
-                          else exact_floor(rhs)))
-    return out_eqs, out_ineqs
+def lattice_scan(eqs, ineqs, lo, hi, collect=False):
+    """Integer points x with e.x == f for every (e, f) in ``eqs`` and a.x <= b
+    (a.x < b when strict) for every (a, b, strict) in ``ineqs``, inside the
+    box [lo, hi]: the list in lexicographic order when ``collect`` is set,
+    else their number.
 
-
-def _box(P, v, t):
-    verts = [tuple(x * t + y for x, y in zip(w, v)) for w in P.vertices]
-    n = len(v)
-    lo = tuple(exact_ceil(min(w[c] for w in verts)) for c in range(n))
-    hi = tuple(exact_floor(max(w[c] for w in verts)) for c in range(n))
-    return lo, hi
+    Normals are int rows; right sides and box bounds are exact scalars
+    (rational or QuadExt).  They are rounded once for ``_scan``: a closed row
+    to floor(b), a strict one to ceil(b) - 1, the box to (ceil(lo),
+    floor(hi)); an equality with a non-integer right side has no points.
+    """
+    int_eqs = []
+    for e, f in eqs:
+        r = exact_floor(f)
+        if r != f:
+            return [] if collect else 0
+        int_eqs.append((e, r))
+    int_ineqs = [(a, exact_ceil(b) - 1 if strict else exact_floor(b))
+                 for a, b, strict in ineqs]
+    return _scan(int_eqs, int_ineqs, tuple(map(exact_ceil, lo)),
+                 tuple(map(exact_floor, hi)), collect=collect)

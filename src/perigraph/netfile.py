@@ -162,17 +162,21 @@ def parse_polytope(text: str):
         elif key == "rank":
             rank = int(value)
         elif key == "vertex":
-            parts = value.split()
-            if rank is not None and len(parts) != rank:
-                raise FormatError(f"line {lineno}: vertex has wrong length")
-            verts.append(tuple(Fraction(p) for p in parts))
+            verts.append((lineno, tuple(Fraction(p) for p in value.split())))
         else:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
     if not fmt_seen:
         raise FormatError("missing 'format: pgpoly/1' line")
+    if rank is None:
+        raise FormatError("missing rank")
+    if rank < 1:
+        raise FormatError("rank must be at least 1")
     if not verts:
         raise FormatError("polytope document has no vertices")
-    return convex_hull(verts), name
+    for lineno, v in verts:
+        if len(v) != rank:
+            raise FormatError(f"line {lineno}: vertex has wrong length")
+    return convex_hull([v for _, v in verts]), name
 
 
 def emit_polytope(vertices, name="") -> str:

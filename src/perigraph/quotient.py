@@ -299,6 +299,8 @@ def ball(graph: QuotientGraph, x0: Vertex, radius=None, max_states=10_000_000,
 def growth_sequence(graph: QuotientGraph, x0: Vertex, count: int,
                     max_states=10_000_000):
     """s_0..s_{count-1}: number of vertices at distance exactly i from x0."""
+    if count < 1:
+        raise ValueError(f"need at least one term, got {count}")
     layers = [0] * count
     for d in ball(graph, x0, count - 1, max_states=max_states).values():
         layers[d] += 1

@@ -176,7 +176,7 @@ class RationalSeries:
 
     def __post_init__(self):
         if self.denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
+            raise ValueError("zero denominator")
         if self.denominator[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
 
@@ -203,16 +203,8 @@ class RationalSeries:
             out.append(acc / d0)
         return [int(x) if x.denominator == 1 else x for x in out]
 
-    def equals(self, other: "RationalSeries") -> bool:
-        return (self.numerator * other.denominator ==
-                other.numerator * self.denominator)
-
     def __str__(self):
         return f"({self.numerator}) / ({self.denominator})"
-
-
-def _integral(p: IntPolynomial) -> bool:
-    return all(c.denominator == 1 for c in p.coeffs)
 
 
 def fit_rational(terms, denominator: IntPolynomial, guard: int = 8

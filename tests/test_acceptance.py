@@ -14,7 +14,7 @@ from perigraph.cycles import (closed_walk_vector, enumerate_cycles,
 from perigraph.ehrhart import (count, count_interior, fit_shifted_qp, gamma_q,
                                interior_shell_check, is_reflexive,
                                verify_reciprocity)
-from perigraph.geometry import convex_hull, gauge, volume
+from perigraph.geometry import Polytope, convex_hull, gauge, volume
 from perigraph.invariants import (asymptotic_constants, c1, c2_support,
                                   support_distance, well_arranged)
 from perigraph.quotient import Vertex, ball, cumulative, growth_sequence
@@ -187,7 +187,7 @@ def test_criterion_6_ehrhart_oracle():
             pts = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
                          for _ in range(2)) for _ in range(rng.randint(3, 7))]
             poly = convex_hull(pts)
-            if not hasattr(poly, "facets"):
+            if not isinstance(poly, Polytope):
                 continue  # degenerate sample; draw again
             v = (rng.choice(menu), rng.choice(menu))
             alpha = rng.choice(menu)

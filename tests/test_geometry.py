@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perigraph import geometry
-from perigraph.ehrhart import lattice_points_of
+from perigraph.ehrhart import count, count_interior, lattice_points_of
 from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
                              solve_linear)
 from perigraph.geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
@@ -47,6 +48,9 @@ def test_hull_point():
     assert h.dim == 0
     assert h.contains((F(2), F(3)))
     assert not h.contains((F(2), F(4)))
+    # a point is its own relative interior, for contains and for counts
+    assert h.contains((F(2), F(3)), strict=True)
+    assert lattice_points_of(h, (0, 0), 1, strict=True) == [(2, 3)]
 
 
 def test_hull_3d_simplex_volume():
@@ -341,22 +345,41 @@ def test_integer_hull_matches_fraction_hull(pts):
     with mock.patch.object(geometry, "_full_dim_hull", _fraction_hull):
         reference = convex_hull(pts)
     assert hull == reference
-    if isinstance(hull, Polytope):
-        assert all(type(b) is F for _, b in hull.facets)
-        assert all(type(x) is int for a, _ in hull.facets for x in a)
+    # both hull types carry one H-representation: primitive int normals
+    # with Fraction right sides
+    rows = hull.equalities + hull.facets
+    assert all(type(b) is F for _, b in rows)
+    assert all(type(x) is int for a, _ in rows for x in a)
+    assert all(gcd(*a) == 1 for a, _ in rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets(3, st.fractions(min_value=-2, max_value=2,
-                                  max_denominator=2)))
-def test_lattice_points_match_box_filter(pts):
+                                  max_denominator=2)),
+       st.data())
+def test_lattice_points_match_box_filter(pts, data):
     hull = convex_hull(pts)
+    n = len(pts[0])
+    v = [data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+         for _ in range(n)]
+    if data.draw(st.booleans()):
+        v[data.draw(st.integers(0, n - 1))] += QuadExt(2, 0, F(1, 3))
+    t = data.draw(st.sampled_from([F(0), F(1, 2), F(1), F(3, 2)]))
     verts = hull.vertices
-    n = len(verts[0])
-    lo = tuple(min(v[c] for v in verts) for c in range(n))
-    hi = tuple(max(v[c] for v in verts) for c in range(n))
-    assert lattice_points_of(hull) == [p for p in integer_box(lo, hi)
-                                    if hull.contains(p)]
+    lo = tuple(x + t * min(w[c] for w in verts) for c, x in enumerate(v))
+    hi = tuple(x + t * max(w[c] for w in verts) for c, x in enumerate(v))
+
+    def inside(p, strict):
+        if t == 0:  # 0*P = {0}, and t*relint P is empty
+            return not strict and all(x == y for x, y in zip(p, v))
+        return hull.contains([(x - y) / t for x, y in zip(p, v)], strict)
+
+    box = integer_box(lo, hi)
+    closed = [p for p in box if inside(p, False)]
+    assert lattice_points_of(hull, tuple(v), t) == closed
+    assert count(hull, tuple(v), t) == len(closed)
+    assert count_interior(hull, tuple(v), t) == sum(inside(p, True)
+                                                    for p in box)
 
 
 @st.composite

@@ -44,6 +44,19 @@ def test_net_errors():
         parse_net("format: pgnet/9\nrank: 1\nclass: a\n")
 
 
+NO_RANK_POLY = "format: pgpoly/1\nvertex: 0 0\nvertex: 1\nvertex: 0 1 2\n"
+
+
+def test_polytope_errors():
+    with pytest.raises(FormatError, match="missing rank"):
+        parse_polytope(NO_RANK_POLY)
+    with pytest.raises(FormatError, match="at least 1"):
+        parse_polytope("format: pgpoly/1\nrank: 0\nvertex:\n")
+    with pytest.raises(FormatError, match="line 4: vertex has wrong length"):
+        parse_polytope("format: pgpoly/1\nvertex: 0 0\nrank: 2\n"
+                       "vertex: 1\n")
+
+
 def test_polytope_roundtrip(square_poly):
     poly, name = parse_polytope(emit_polytope(square_poly.vertices, "sq"))
     assert name == "sq"
@@ -144,6 +157,25 @@ def test_cli_errors(capsys, tmp_path):
     assert run_command(["growth", str(bad)]) == 2
     assert run_command(["growth", str(fixture_path("wakatsuki.net")),
                         "--start", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "z2.net", "--start", "o:1"],
+    ["wellarranged", "z2.net", "--start", "o:1,2,3"],
+    ["growth", "z2.net", "--terms", "0"],
+    ["growth", "z2.net", "--terms", "-3"],
+    ["ehrhart", "square.poly", "--alpha", "1/0"],
+    ["series", "z2.net", "--denominator", "0"],
+    ["ehrhart", "square.poly", "--shift", "1/2"],
+    ["ehrhart", "square.poly", "--shift", "1/2,0,5"],
+    ["ehrhart", "no_rank.poly"],
+])
+def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
+    no_rank = tmp_path / "no_rank.poly"
+    no_rank.write_text(NO_RANK_POLY)
+    path = no_rank if argv[1] == no_rank.name else fixture_path(argv[1])
+    assert run_command([argv[0], str(path), *argv[2:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_budget_overrun_exits_2(capsys):
