@@ -48,6 +48,12 @@ def _load_polytope(args):
     return hull, name
 
 
+def _check_terms(args):
+    """Refuse --terms below 1, for which every check would be vacuous."""
+    if args.terms is not None and args.terms < 1:
+        raise CliError(f"--terms must be at least 1, got {args.terms}")
+
+
 def _start_vertex(graph, args):
     name = args.start or graph.class_names[0]
     offset = None
@@ -247,6 +253,7 @@ def cmd_wellarranged(args):
 
 
 def cmd_series(args):
+    _check_terms(args)
     graph = _load_graph(args)
     x0 = _start_vertex(graph, args)
     report = {"graph": graph.name, "start": graph.class_names[x0.cls]}
@@ -299,6 +306,7 @@ def cmd_density(args):
 
 
 def cmd_ehrhart(args):
+    _check_terms(args)
     poly, name = _load_polytope(args)
     shift = tuple(map(_rational, args.shift.split(","))) if args.shift \
         else (Fraction(0),) * poly.ambient_dim

@@ -52,6 +52,19 @@ def _lines(text):
         yield lineno, key.strip(), value.strip()
 
 
+def _scalars(lineno, literals, parse):
+    """The exact values of a line's coordinate literals; FormatError naming
+    the line for a literal that does not parse or has a zero denominator."""
+    values = []
+    for text in literals:
+        try:
+            values.append(parse(text))
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(
+                f"line {lineno}: bad coordinate {text!r}") from None
+    return tuple(values)
+
+
 def parse_net(text: str) -> QuotientGraph:
     name = ""
     rank = None
@@ -78,7 +91,7 @@ def parse_net(text: str) -> QuotientGraph:
             if not parts:
                 raise FormatError(f"line {lineno}: empty class line")
             class_names.append(parts[0])
-            coords.append(tuple(parse_scalar(p) for p in parts[1:]) or None)
+            coords.append(_scalars(lineno, parts[1:], parse_scalar) or None)
         elif key == "edge":
             if rank is None:
                 raise FormatError(f"line {lineno}: rank must come before edges")
@@ -162,7 +175,7 @@ def parse_polytope(text: str):
         elif key == "rank":
             rank = int(value)
         elif key == "vertex":
-            verts.append((lineno, tuple(Fraction(p) for p in value.split())))
+            verts.append((lineno, _scalars(lineno, value.split(), Fraction)))
         else:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
     if not fmt_seen:

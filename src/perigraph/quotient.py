@@ -233,77 +233,129 @@ def _weave(vec, base):
     return total
 
 
+def _frame(graph: QuotientGraph, x0: Vertex, radius, max_states) -> Ball:
+    """Empty Ball whose packing box holds every state a search from x0 can
+    reach: a state settled within radius, or among the first max_states, is
+    at most min(radius, max_states) edges from x0, and a candidate one edge
+    more, so the box of bias (min(radius, max_states) + 1) * max|vector
+    entry| + 1 holds them all."""
+    span = max((abs(a) for e in graph.edges for a in e.vector), default=0)
+    steps = max_states if radius is None else max(0, min(radius, max_states))
+    return Ball(graph.num_classes, x0.offset, (steps + 1) * span + 1)
+
+
+def _shells(graph: QuotientGraph, x0: Vertex, radius, max_states):
+    """Yield (d, shell) in increasing d for every nonempty shell: the set of
+    packed states (see ``Ball`` and ``_frame``) at exact distance d <= radius
+    from x0 (no bound when radius is None).  Raises ResourceLimit as soon as
+    more than max_states states are settled.
+
+    Shell d is the set of targets of the weight-w edges leaving shell d - w,
+    one set comprehension per edge weight w, minus the states settled
+    earlier; the next d is the least j + w over the live shells j, so the
+    distances between shells cost nothing.  In an undirected graph a state
+    reached from shell d - w over an edge of weight w has the reverse edge
+    back, so it lies at distance >= d - 2w: only the shells in
+    [d - 2 maxw, d) are subtracted and the older ones are dropped.  A
+    directed graph keeps the set of every settled state.
+    """
+    frame = _frame(graph, x0, radius, max_states)
+    start = frame._key(x0)
+    if start is None:
+        raise GraphError(f"{x0!r} is not a vertex of the graph")
+    C = graph.num_classes
+    deltas = {}  # weight -> per class, the packed deltas of its edges
+    for e in graph.edges:
+        per_class = deltas.get(e.weight)
+        if per_class is None:
+            per_class = deltas[e.weight] = [[] for _ in range(C)]
+        per_class[e.src].append(
+            e.tgt - e.src + C * _weave(e.vector, frame._base))
+    out = [(w, tuple(map(tuple, per_class)))
+           for w, per_class in deltas.items()]
+    maxw = max(deltas, default=0)
+    keep = 2 * maxw if graph.undirected else maxw
+    bound = float("inf") if radius is None else radius
+    settled = None if graph.undirected else {start}
+    window = {}  # the nonempty shells at distance >= d - keep
+    total = 0
+    d, shell = 0, {start}
+    while True:
+        if shell:
+            total += len(shell)
+            if total > max_states:
+                raise ResourceLimit(
+                    f"ball expansion exceeded {max_states} states")
+            window[d] = shell
+            yield d, shell
+        reach = [j + w for j in window for w in deltas if j + w > d]
+        if not reach:
+            return
+        d = min(reach)
+        if d > bound:
+            return
+        # d is j + w for a shell j >= d - maxw >= d - keep, and the window
+        # is ordered by distance: this loop stops before j, and the loop
+        # below finds it
+        while (j := next(iter(window))) < d - keep:
+            del window[j]
+        shell = None
+        for w, per_class in out:
+            src = window.get(d - w)
+            if src:
+                part = {k + delta for k in src for delta in per_class[k % C]}
+                if shell is None:
+                    shell = part
+                else:
+                    shell |= part
+        if settled is None:
+            for old in window.values():
+                shell -= old
+        else:
+            shell -= settled
+            settled |= shell
+
+
 def ball(graph: QuotientGraph, x0: Vertex, radius=None, max_states=10_000_000,
          targets=None) -> Ball:
     """Exact distances from x0 as a read-only mapping Vertex -> int.
 
-    Settles every vertex y with d(x0, y) <= radius (no bound when radius is
-    None).  When targets are given, the search also stops as soon as every
-    target is settled, and returns every state settled up to the last
-    target's distance, all of them exact; a target missing from the result
-    is farther than radius or unreachable.  Raises ResourceLimit once more
-    than max_states states have been discovered.
-
-    Dijkstra with buckets over packed states (see ``Ball``): the queue is a
-    dict distance -> states discovered at it, so its size does not grow
-    with the edge weights, and relaxing an edge adds its precomputed packed
-    delta.  Every state the search discovers is at most
-    min(radius, max_states) edges from x0, so it lies inside the box of bias
-    (min(radius, max_states) + 1) * max|vector entry| + 1.
+    Holds every vertex y with d(x0, y) <= radius (no bound when radius is
+    None), filled shell by shell from ``_shells``.  When targets are given,
+    the search stops after the shell that settles the last target, so the
+    result is the complete ball up to the farthest target's distance; a
+    target missing from the result is farther than radius or unreachable.
+    Raises ResourceLimit when more than max_states states lie within the
+    distance searched.
     """
-    C = graph.num_classes
-    span = max((abs(a) for e in graph.edges for a in e.vector), default=0)
-    steps = max_states if radius is None else max(0, min(radius, max_states))
-    result = Ball(C, x0.offset, (steps + 1) * span + 1)
-    start = result._key(x0)
-    if start is None:
-        raise GraphError(f"{x0!r} is not a vertex of the graph")
-    out = [[(e.weight, e.tgt - c + C * _weave(e.vector, result._base))
-            for _, e in graph.out_edges(c)] for c in range(C)]
-    bound = float("inf") if radius is None else radius
+    result = _frame(graph, x0, radius, max_states)
+    dist = result._dist
     # a target outside the box keys to None, which is never settled
     want = None if targets is None else {result._key(y) for y in targets}
-    dist = result._dist
-    dist[start] = 0
-    pending = {0: [start]}
-    while pending:
-        d = min(pending)
-        for k in pending.pop(d):
-            if dist[k] != d:
-                continue  # stale: settled earlier at a smaller distance
-            if want is not None:
-                want.discard(k)
-                if not want:
-                    # every state with a tentative distance <= d is exact
-                    result._dist = {j: v for j, v in dist.items() if v <= d}
-                    return result
-            for w, delta in out[k % C]:
-                nd = d + w
-                if nd > bound:
-                    continue
-                j = k + delta
-                old = dist.get(j)
-                if old is None or nd < old:
-                    dist[j] = nd
-                    later = pending.get(nd)
-                    if later is None:
-                        pending[nd] = [j]
-                    else:
-                        later.append(j)
-                    if len(dist) > max_states:
-                        raise ResourceLimit(
-                            f"ball expansion exceeded {max_states} states")
+    for d, shell in _shells(graph, x0, radius, max_states):
+        for k in shell:
+            dist[k] = d
+        if want is not None:
+            want -= shell
+            if not want:
+                break
     return result
 
 
 def growth_sequence(graph: QuotientGraph, x0: Vertex, count: int,
                     max_states=10_000_000):
-    """s_0..s_{count-1}: number of vertices at distance exactly i from x0."""
+    """s_0..s_{count-1}: number of vertices at distance exactly i from x0.
+
+    Counts the shells of ``_shells`` without keeping them, so memory
+    follows the surface of the ball rather than its volume.  Raises
+    ResourceLimit when more than max_states vertices lie within distance
+    count - 1, and ValueError when count < 1.
+    """
     if count < 1:
         raise ValueError(f"need at least one term, got {count}")
     layers = [0] * count
-    for d in ball(graph, x0, count - 1, max_states=max_states).values():
-        layers[d] += 1
+    for d, shell in _shells(graph, x0, count - 1, max_states):
+        layers[d] = len(shell)
     return layers
 
 

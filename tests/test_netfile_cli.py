@@ -45,6 +45,17 @@ def test_net_errors():
 
 
 NO_RANK_POLY = "format: pgpoly/1\nvertex: 0 0\nvertex: 1\nvertex: 0 1 2\n"
+ZERO_DEN_NET = "format: pgnet/1\nrank: 1\nclass: a 1/0\nedge: a a 1 1\n"
+ZERO_DEN_POLY = "format: pgpoly/1\nrank: 2\nvertex: 0 0\nvertex: 1/0 1\n"
+
+
+def test_zero_denominator_names_the_line():
+    with pytest.raises(FormatError, match="line 3: bad coordinate '1/0'"):
+        parse_net(ZERO_DEN_NET)
+    with pytest.raises(FormatError, match=r"line 3: .*'1/2\+1/0\*sqrt\(2\)'"):
+        parse_net(ZERO_DEN_NET.replace("1/0", "1/2+1/0*sqrt(2)"))
+    with pytest.raises(FormatError, match="line 4: bad coordinate '1/0'"):
+        parse_polytope(ZERO_DEN_POLY)
 
 
 def test_polytope_errors():
@@ -169,11 +180,20 @@ def test_cli_errors(capsys, tmp_path):
     ["ehrhart", "square.poly", "--shift", "1/2"],
     ["ehrhart", "square.poly", "--shift", "1/2,0,5"],
     ["ehrhart", "no_rank.poly"],
+    ["growth", "zero_den.net"],
+    ["ehrhart", "zero_den.poly"],
+    ["ehrhart", "square.poly", "--terms", "0"],
+    ["ehrhart", "square.poly", "--terms", "-3"],
+    ["series", "z2.net", "--terms", "0"],
 ])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
-    no_rank = tmp_path / "no_rank.poly"
-    no_rank.write_text(NO_RANK_POLY)
-    path = no_rank if argv[1] == no_rank.name else fixture_path(argv[1])
+    for name, text in (("no_rank.poly", NO_RANK_POLY),
+                       ("zero_den.net", ZERO_DEN_NET),
+                       ("zero_den.poly", ZERO_DEN_POLY)):
+        (tmp_path / name).write_text(text)
+    path = tmp_path / argv[1]
+    if not path.exists():
+        path = fixture_path(argv[1])
     assert run_command([argv[0], str(path), *argv[2:]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

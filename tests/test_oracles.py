@@ -32,6 +32,15 @@ def reweighted(graph):
         for i, e in enumerate(graph.edges)))
 
 
+def directed(graph):
+    """The fixture as a directed net: both edges of each reverse pair are
+    kept, weighing 1 one way and 3 the other (a zero-vector loop, its own
+    reverse, weighs 1), so no edge has a reverse of equal weight."""
+    return replace(graph, undirected=False, edges=tuple(
+        replace(e, weight=1 if i <= e.reverse else 3, reverse=None)
+        for i, e in enumerate(graph.edges)))
+
+
 def _add(g, u, v, w):
     if not g.has_edge(u, v) or g[u][v]["weight"] > w:
         g.add_edge(u, v, weight=w)
@@ -71,13 +80,15 @@ def starts(graph, offset=None):
     return [Vertex(c, offset) for c in range(graph.num_classes)]
 
 
+VARIANTS = {"w1": lambda graph: graph, "w3": reweighted, "directed": directed}
+
+
 @pytest.fixture(scope="module",
-                params=[(name, w) for name in sorted(TORI) for w in (1, 3)],
-                ids=lambda p: f"{p[0]}-w{p[1]}")
+                params=[(name, v) for name in sorted(TORI) for v in VARIANTS],
+                ids=lambda p: f"{p[0]}-{p[1]}")
 def case(request):
-    name, max_weight = request.param
-    graph = load_net(name)
-    return (graph if max_weight == 1 else reweighted(graph)), TORI[name]
+    name, variant = request.param
+    return VARIANTS[variant](load_net(name)), TORI[name]
 
 
 def test_ball_and_growth_match_dijkstra(case):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from perigraph.quotient import (EdgeRecord, GraphError, QuotientGraph,
-                                ResourceLimit, Vertex, Walk, ball,
+                                ResourceLimit, Vertex, Walk, _shells, ball,
                                 closed_walk_vector, cumulative, distance,
                                 growth_sequence, is_strongly_connected,
                                 lattice_index, quotient_strongly_connected,
@@ -87,6 +87,38 @@ def test_ball_budget_counts_every_state(z2):
     assert len(ball(z2, o, 5, max_states=n)) == n
     with pytest.raises(ResourceLimit):
         ball(z2, o, 5, max_states=n - 1)
+
+
+def directed_triangle():
+    """Directed net on Z^2 with steps (1, 0), (0, 1) of weight 1 and (-1, -1)
+    of weight 2: strongly connected, and no edge has a reverse."""
+    return validate(QuotientGraph(2, ("o",), (
+        EdgeRecord(0, 0, (1, 0), 1), EdgeRecord(0, 0, (0, 1), 1),
+        EdgeRecord(0, 0, (-1, -1), 2))))
+
+
+def budget_nets(z2, wakatsuki):
+    return (z2, loop_graph([(1, 0), (0, 1), (1, 1)], 2, weights=[1, 3, 2]),
+            wakatsuki, directed_triangle())
+
+
+def test_growth_budget_counts_the_ball(z2, wakatsuki):
+    terms = 9
+    for g in budget_nets(z2, wakatsuki):
+        o = Vertex(0, (0, 0))
+        n = len(ball(g, o, terms - 1))
+        s = growth_sequence(g, o, terms, max_states=n)
+        assert sum(s) == n
+        with pytest.raises(ResourceLimit):
+            growth_sequence(g, o, terms, max_states=n - 1)
+
+
+def test_undirected_search_keeps_a_window_of_shells(z2, wakatsuki):
+    for g in [g for g in budget_nets(z2, wakatsuki) if g.undirected]:
+        maxw = max(e.weight for e in g.edges)
+        search = _shells(g, Vertex(0, (0, 0)), 40, 10**6)
+        held = [len(search.gi_frame.f_locals["window"]) for _ in search]
+        assert max(held) == 2 * maxw + 1
 
 
 def test_ball_targets_return_the_ball_of_the_farthest_one(z2):
