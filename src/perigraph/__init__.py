@@ -27,8 +27,9 @@ from .quotient import (EdgeRecord, GraphError, QuotientGraph, ResourceLimit,
                        distance, growth_sequence, is_strongly_connected,
                        validate)
 from .series import (FitError, IntPolynomial, QuasiPolynomial, RationalSeries,
-                     cumulative_series, density_cross_check, fit_rational,
-                     interpolate, negative_evaluation, p_initial_denominator,
+                     cumulative_series, density_cross_check,
+                     fit_quasi_polynomial, fit_rational, interpolate,
+                     negative_evaluation, p_initial_denominator,
                      quasi_period_p_initial, rational_from_terms,
                      reciprocity_check, to_quasi_polynomial,
                      topological_density, wa_denominator)

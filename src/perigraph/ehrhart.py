@@ -13,7 +13,7 @@ from math import ceil, floor, lcm
 
 from .geometry import LowerDimensionalHull, lattice_scan, origin_interior, vdot
 from .quotient import EdgeRecord, QuotientGraph
-from .series import FitError, QuasiPolynomial, interpolate
+from .series import QuasiPolynomial, fit_quasi_polynomial
 
 
 def _points(P, v, t, strict, collect):
@@ -65,8 +65,9 @@ def fit_shifted_qp(P, v, alpha, period=None, counts=None
     d >= -alpha; constituents have degree <= dim P.  ``counts`` may map
     some d to shifted_count(P, v, alpha, d), already counted by the caller.
 
-    The fit interpolates through M + 1 dilations per residue class and
-    checks f against the count at every d of the first M + 4 periods."""
+    The fit (``series.fit_quasi_polynomial``) interpolates through M + 1
+    dilations per residue class and checks f against the count at every d
+    of the first M + 4 periods."""
     alpha = Fraction(alpha)
     M = P.dim
     N = period or minimal_dilation(P) * alpha.denominator
@@ -80,18 +81,8 @@ def fit_shifted_qp(P, v, alpha, period=None, counts=None
             counts[d] = shifted_count(P, v, alpha, d)
         return counts[d]
 
-    constituents = [None] * N
-    for r in range(N):
-        d0 = valid_from + ((r - valid_from) % N)
-        xs = [d0 + N * j for j in range(M + 1)]
-        constituents[d0 % N] = interpolate([(d, h(d)) for d in xs])
-    qp = QuasiPolynomial(N, tuple(constituents), valid_from)
-    top = valid_from + N * (M + 4)
-    for d in range(valid_from, top):
-        if qp.evaluate(d) != h(d):
-            raise FitError(f"shifted count is not quasi-polynomial with "
-                           f"period {N} at d={d}")
-    return qp
+    return fit_quasi_polynomial(h, N, M, valid_from,
+                                valid_from + N * (M + 4))
 
 
 def verify_reciprocity(P, v, alpha, qp=None, imax=6) -> bool:

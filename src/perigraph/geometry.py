@@ -2,10 +2,14 @@
 
 Convex hulls are computed by exhaustive supporting-hyperplane search with
 exact integer predicates, after scaling the points by one common
-denominator; this is quadratic-ish in the number of input points, which is
-fine at the scale of growth polytopes.  Lower-dimensional hulls are
-first-class results carrying their affine hull.  Half-open regions and
-lattice-point scans likewise test points with integer forms.
+denominator: every n-subset of the m points is tried as a facet and tested
+against every point, O(m^(n+1)), which is fine at the scale of growth
+polytopes.  Lower-dimensional hulls are first-class results carrying their
+affine hull: the points are projected onto coordinates that are
+independent on their span, hulled there, and the facets spread back.  That
+integer span frame (``_span_frame``) also gives half-open regions their
+integer membership forms, and lattice-point scans test points with the
+same integer rows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .field import (QuadExt, det, exact_ceil, exact_floor, matrix_rank,
-                    scalar_sign, solve_linear)
+                    scalar_sign)
 
 
 def vsub(p, q):
@@ -43,21 +47,6 @@ def vdot(p, q):
 
 def _as_fractions(p):
     return tuple(Fraction(x) for x in p)
-
-
-def primitive(vec):
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
 
 
 def cross_normal(vectors, n):
@@ -98,29 +87,30 @@ class Polytope:
 class LowerDimensionalHull:
     """Hull of points whose affine span is a proper subspace.
 
-    ``base``/``basis`` give the affine hull; ``hull`` is the full-dimensional
-    polytope in affine coordinates; ``equalities``/``facets`` are the ambient
-    H-representation (e.x = f, a.x <= b), each row a primitive int normal
-    with a Fraction right side, as in ``Polytope.facets``.
+    The projection onto the coordinates ``coords`` is one-to-one on the
+    affine hull; ``hull`` is the full-dimensional polytope of the projected
+    points.  ``equalities``/``facets`` are the ambient H-representation
+    (e.x = f, a.x <= b), each row a primitive int normal with a Fraction
+    right side, as in ``Polytope.facets``.
     """
 
     ambient_dim: int
     dim: int
-    base: tuple
-    basis: tuple
+    coords: tuple            # the projected coordinates, increasing
     hull: Polytope | None    # None when dim == 0
     vertices: tuple          # ambient coordinates
     equalities: tuple
     facets: tuple
-    _coord_matrix: tuple     # rows of M with lambda = M (x - base)
+
+    facet_vertices = Polytope.facet_vertices
 
     def affine_coords(self, point):
-        """Affine-hull coordinates of a point, or None if off the hull's span."""
-        rel = vsub(point, self.base)
+        """Coordinates of a point in ``hull``, or None if off the hull's
+        span."""
         for e, f in self.equalities:
             if scalar_sign(vdot(e, point) - f) != 0:
                 return None
-        return tuple(vdot(row, rel) for row in self._coord_matrix)
+        return tuple(point[c] for c in self.coords)
 
     def contains(self, point, strict=False):
         lam = self.affine_coords(point)
@@ -181,37 +171,62 @@ def _full_dim_hull(points, n):
                     tuple((a, Fraction(b, L)) for a, b in facet_list))
 
 
-def _nullspace_int(rows, n):
-    """Primitive integer basis of {e : e.row = 0 for all rows} in R^n."""
-    out = []
-    m = [list(map(Fraction, r)) for r in rows]
-    # rref of the row space, then complete
-    pivots = []
-    r = 0
+def _spread(coords, values, n):
+    """The vector of R^n with ``values`` at ``coords`` and 0 elsewhere."""
+    vec = [0] * n
+    for c, x in zip(coords, values):
+        vec[c] = x
+    return tuple(vec)
+
+
+def _span_frame(vectors, n):
+    """Integer frame of the span of k independent rational vectors in R^n:
+    (sel, adj, d, den, equalities).
+
+    den is the common denominator of the vectors, M the n x k integer
+    matrix with columns den * vectors, sel the first k coordinates (in the
+    order of ``combinations``) with det M_sel != 0, d = |det M_sel| and adj
+    the signed adjugate of M_sel, so that M lam = x has lam = adj x_sel / d.
+    A point x lies in the span iff e . x == 0 for each of the n - k
+    primitive equality rows: for every coordinate c outside sel, the one
+    with d at c and -(M_c adj) at sel.
+    """
+    k = len(vectors)
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    rows = [[int(v[c] * den) for v in vectors] for c in range(n)]
+    for sel in combinations(range(n), k):
+        square = [rows[c] for c in sel]
+        d = det(square)
+        if d != 0:
+            break
+    else:
+        raise ValueError("span vectors must be independent")
+    sign = 1 if d > 0 else -1
+    # adj[j][i] is the cofactor of entry (i, j) of the selected rows
+    adj = [[sign * (-1) ** (i + j) * det(
+        [r[:j] + r[j + 1:] for t, r in enumerate(square) if t != i])
+        for i in range(k)] for j in range(k)]
+    d = abs(d)
+    equalities = []
     for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    for c in free:
-        vec = [Fraction(0)] * n
-        vec[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][c]
-        out.append(primitive(vec))
-    return out
+        if c not in sel:
+            row = list(_spread(sel, [-sum(rows[c][j] * adj[j][i]
+                                          for j in range(k))
+                                     for i in range(k)], n))
+            row[c] = d
+            g = gcd(*row)
+            equalities.append(tuple(x // g for x in row))
+    return sel, adj, d, den, equalities
 
 
 def convex_hull(points):
-    """Exact convex hull; returns a Polytope or a LowerDimensionalHull."""
+    """Exact convex hull; returns a Polytope or a LowerDimensionalHull.
+
+    Points of affine rank k < n are projected onto the coordinates sel of
+    their span's frame (``_span_frame``), which is one-to-one on their
+    affine hull; each facet a.y <= b of the projected hull, spread to sel,
+    is a primitive ambient row.
+    """
     pts = _dedupe_sorted(points)
     if not pts:
         raise ValueError("empty point set")
@@ -228,37 +243,15 @@ def convex_hull(points):
             basis.append(d)
         if len(basis) == rank:
             break
-    k = rank
-    eq_normals = _nullspace_int(basis, n) if k < n else []
-    equalities = tuple((e, Fraction(vdot(e, base))) for e in eq_normals)
-    if k == 0:
-        return LowerDimensionalHull(n, 0, base, (), None, (base,),
-                                    equalities, (), ())
-    # coordinate map M = (U^T U)^{-1} U^T, rows of M
-    gram = [[vdot(u, v) for v in basis] for u in basis]
-    coord_rows = []
-    for i in range(k):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        y = solve_linear(gram, rhs)
-        row = tuple(sum(y[j] * basis[j][c] for j in range(k)) for c in range(n))
-        coord_rows.append(row)
-    lam_points = [tuple(vdot(row, vsub(p, base)) for row in coord_rows) for p in pts]
-    sub = _full_dim_hull(_dedupe_sorted(lam_points), k)
-    # lift facet inequalities to ambient space: a.lam <= b reads
-    # amb.x <= b + amb.base, scaled to a primitive int normal
-    facets = []
-    for a, b in sub.facets:
-        amb = tuple(sum(Fraction(a[i]) * coord_rows[i][c] for i in range(k))
-                    for c in range(n))
-        normal = primitive(amb)
-        scale = next(p / x for p, x in zip(normal, amb) if x)
-        facets.append((normal, scale * (b + vdot(amb, base))))
-    lam_to_amb = {}
-    for p, lam in zip(pts, lam_points):
-        lam_to_amb.setdefault(lam, p)
-    verts = tuple(sorted(lam_to_amb[lam] for lam in sub.vertices))
-    return LowerDimensionalHull(n, k, base, tuple(basis), sub, verts,
-                                equalities, tuple(facets), tuple(coord_rows))
+    sel, _, _, _, eq_rows = _span_frame(basis, n)
+    equalities = tuple((e, Fraction(vdot(e, base))) for e in eq_rows)
+    if rank == 0:
+        return LowerDimensionalHull(n, 0, (), None, (base,), equalities, ())
+    by_coords = {tuple(p[c] for c in sel): p for p in pts}
+    sub = _full_dim_hull(sorted(by_coords), rank)
+    verts = tuple(sorted(by_coords[y] for y in sub.vertices))
+    facets = tuple((_spread(sel, a, n), b) for a, b in sub.facets)
+    return LowerDimensionalHull(n, rank, sel, sub, verts, equalities, facets)
 
 
 def origin_interior(poly) -> bool:
@@ -298,20 +291,9 @@ def _pull_triangulation(vertices, apex=None):
     if apex is None:
         apex = _lex_min(vertices)
     apex = _as_fractions(apex)
-    if isinstance(hull, Polytope):
-        dim = hull.ambient_dim
-        face_lists = [hull.facet_vertices(i) for i in range(len(hull.facets))]
-    else:
-        dim = hull.dim
-        if dim == 1:
-            return [tuple(sorted(hull.vertices))]
-        sub = hull.hull
-        lam_of = {v: hull.affine_coords(v) for v in hull.vertices}
-        amb_of = {lam: v for v, lam in lam_of.items()}
-        face_lists = [tuple(amb_of[w] for w in sub.facet_vertices(i))
-                      for i in range(len(sub.facets))]
     simplices = []
-    for face in face_lists:
+    for i in range(len(hull.facets)):
+        face = hull.facet_vertices(i)
         if apex in face:
             continue
         for sub_simplex in _pull_triangulation(face):
@@ -358,46 +340,16 @@ def _region_frame(n, generators, extents):
     equalities, D) with rel inside iff 0 <= form . rel < D for every form and
     e . rel == 0 for every equality.
 
-    The extents are folded into the generators, whose common denominator den
-    is cleared; k independent coordinate rows S of the resulting integer
-    matrix M give d = det M_S and the signed adjugate A, so that the
-    coefficients are den * (A rel_S) / |d|.  Every row c outside S must agree
-    with them: (M_c A) . rel_S == |d| rel_c.
+    The extents are folded into the generators; over the span frame of the
+    folded generators (``_span_frame``) the coefficients are
+    den * (adj rel_sel) / d, and the frame's equalities keep rel in the span.
     """
     if any(Fraction(e) <= 0 for e in extents):
         raise ValueError("region extents must be positive")
-    k = len(generators)
     folded = [[Fraction(e) * x for x in g] for g, e in zip(generators, extents)]
-    den = lcm(*(x.denominator for g in folded for x in g))
-    rows = [[int(g[c] * den) for g in folded] for c in range(n)]
-    for sel in combinations(range(n), k):
-        square = [rows[c] for c in sel]
-        d = det(square)
-        if d != 0:
-            break
-    else:
-        raise ValueError("region generators must be independent")
-    sign = 1 if d > 0 else -1
-    # adj[j][i] is the cofactor of entry (i, j) of the selected rows
-    adj = [[sign * (-1) ** (i + j) * det(
-        [r[:j] + r[j + 1:] for t, r in enumerate(square) if t != i])
-        for i in range(k)] for j in range(k)]
-
-    def spread(coeffs):
-        vec = [0] * n
-        for c, x in zip(sel, coeffs):
-            vec[c] = x
-        return vec
-
-    forms = [spread([den * x for x in row]) for row in adj]
-    equalities = []
-    for c in range(n):
-        if c not in sel:
-            form = spread([sum(rows[c][j] * adj[j][i] for j in range(k))
-                           for i in range(k)])
-            form[c] -= abs(d)
-            equalities.append(form)
-    return forms, equalities, abs(d)
+    sel, adj, d, den, equalities = _span_frame(folded, n)
+    forms = [_spread(sel, [den * x for x in row], n) for row in adj]
+    return forms, equalities, d
 
 
 @dataclass(frozen=True)

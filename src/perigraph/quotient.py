@@ -244,11 +244,13 @@ def _frame(graph: QuotientGraph, x0: Vertex, radius, max_states) -> Ball:
     return Ball(graph.num_classes, x0.offset, (steps + 1) * span + 1)
 
 
-def _shells(graph: QuotientGraph, x0: Vertex, radius, max_states):
+def _shells(graph: QuotientGraph, frame: Ball, x0: Vertex, radius,
+            max_states):
     """Yield (d, shell) in increasing d for every nonempty shell: the set of
-    packed states (see ``Ball`` and ``_frame``) at exact distance d <= radius
-    from x0 (no bound when radius is None).  Raises ResourceLimit as soon as
-    more than max_states states are settled.
+    states at exact distance d <= radius from x0 (no bound when radius is
+    None), packed by ``frame``, the caller's ``_frame(graph, x0, radius,
+    max_states)``.  Raises ResourceLimit as soon as more than max_states
+    states are settled.
 
     Shell d is the set of targets of the weight-w edges leaving shell d - w,
     one set comprehension per edge weight w, minus the states settled
@@ -259,7 +261,6 @@ def _shells(graph: QuotientGraph, x0: Vertex, radius, max_states):
     [d - 2 maxw, d) are subtracted and the older ones are dropped.  A
     directed graph keeps the set of every settled state.
     """
-    frame = _frame(graph, x0, radius, max_states)
     start = frame._key(x0)
     if start is None:
         raise GraphError(f"{x0!r} is not a vertex of the graph")
@@ -332,7 +333,7 @@ def ball(graph: QuotientGraph, x0: Vertex, radius=None, max_states=10_000_000,
     dist = result._dist
     # a target outside the box keys to None, which is never settled
     want = None if targets is None else {result._key(y) for y in targets}
-    for d, shell in _shells(graph, x0, radius, max_states):
+    for d, shell in _shells(graph, result, x0, radius, max_states):
         for k in shell:
             dist[k] = d
         if want is not None:
@@ -354,7 +355,8 @@ def growth_sequence(graph: QuotientGraph, x0: Vertex, count: int,
     if count < 1:
         raise ValueError(f"need at least one term, got {count}")
     layers = [0] * count
-    for d, shell in _shells(graph, x0, count - 1, max_states):
+    frame = _frame(graph, x0, count - 1, max_states)
+    for d, shell in _shells(graph, frame, x0, count - 1, max_states):
         layers[d] = len(shell)
     return layers
 

@@ -216,14 +216,7 @@ def fit_rational(terms, denominator: IntPolynomial, guard: int = 8
     deg = denominator.degree
     if m < deg + guard:
         raise FitError(f"need at least {deg + guard + 1} terms, got {m + 1}")
-    series = IntPolynomial(terms)
-    prod = denominator * series
-    for i in range(deg + 1, m + 1):
-        if prod[i] != 0:
-            raise FitError(
-                f"terms do not satisfy the recurrence at index {i}")
-    num = IntPolynomial([prod[i] for i in range(deg + 1)])
-    return RationalSeries(num, denominator)
+    return rational_from_terms(terms, denominator, guard=m - deg)
 
 
 def rational_from_terms(terms, denominator: IntPolynomial, guard: int = 8
@@ -305,13 +298,37 @@ def interpolate(points) -> IntPolynomial:
     return result
 
 
+def fit_quasi_polynomial(value, period, degree, valid_from, stop
+                         ) -> QuasiPolynomial:
+    """The quasi-polynomial f of the given period with constituents of
+    degree <= ``degree`` and f(i) = value(i) for valid_from <= i < stop.
+
+    Each constituent interpolates ``value`` at the first degree + 1
+    integers i >= valid_from of its residue class; f is then checked
+    against ``value`` at every i in [valid_from, stop), which must reach
+    past those points for the check to mean anything.
+    """
+    constituents = [None] * period
+    for r in range(period):
+        i0 = valid_from + (r - valid_from) % period
+        constituents[r] = interpolate([(i, value(i)) for i in
+                                       range(i0, i0 + period * (degree + 1),
+                                             period)])
+    qp = QuasiPolynomial(period, tuple(constituents), valid_from)
+    for i in range(valid_from, stop):
+        if qp.evaluate(i) != value(i):
+            raise FitError(f"values are not quasi-polynomial with period "
+                           f"{period} at {i}")
+    return qp
+
+
 def to_quasi_polynomial(series: RationalSeries, period: int | None = None,
                         valid_from: int = 0) -> QuasiPolynomial:
     """Quasi-polynomial matching the series coefficients for i >= valid_from.
 
     Requires the denominator to divide (1 - t^N)^k for the chosen period N;
-    constituents are interpolated per residue class and re-verified on
-    2*N*k extra terms.
+    constituents of degree < k are interpolated per residue class and
+    re-verified on 2*N*k extra terms.
     """
     den = series.reduced().denominator
     candidates = [period] if period else range(1, 4 * max(1, den.degree) + 1)
@@ -329,18 +346,9 @@ def to_quasi_polynomial(series: RationalSeries, period: int | None = None,
     if not found:
         raise FitError("denominator does not divide any (1 - t^N)^k")
     N, k = found
-    need = valid_from + N * k + 2 * N * k
-    terms = series.expand(need)
-    constituents = []
-    for r in range(N):
-        xs = [i for i in range(valid_from, need) if i % N == r][:k]
-        pts = [(i, terms[i]) for i in xs]
-        constituents.append(interpolate(pts))
-    qp = QuasiPolynomial(N, tuple(constituents), valid_from)
-    for i in range(valid_from, need):
-        if qp.evaluate(i) != terms[i]:
-            raise FitError(f"quasi-polynomial check failed at index {i}")
-    return qp
+    stop = valid_from + 3 * N * k
+    terms = series.expand(stop)
+    return fit_quasi_polynomial(terms.__getitem__, N, k - 1, valid_from, stop)
 
 
 def negative_evaluation(qp: QuasiPolynomial, i: int):

@@ -15,8 +15,24 @@ from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
                              solve_linear)
 from perigraph.geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
                                 convex_hull, gauge, integer_box,
-                                origin_interior, primitive, triangulate_facet,
-                                vadd, volume)
+                                origin_interior, triangulate_facet, vadd,
+                                volume)
+
+
+def primitive(vec):
+    """Scale a rational vector to a primitive integer vector (same
+    direction): the reference normal of ``_fraction_hull``."""
+    fr = [F(x) for x in vec]
+    if all(x == 0 for x in fr):
+        return tuple(0 for _ in fr)
+    den = 1
+    for x in fr:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
 
 
 def test_hull_square():
@@ -516,3 +532,53 @@ def test_floor_sum_large_and_negative():
                        (5, 3, -10 ** 15, 10 ** 15 + 2), (0, 5, -1, -1)]:
         assert geometry._floor_sum(n, m, a, b) == sum(
             (a * i + b) // m for i in range(n))
+
+
+# -- lower-dimensional hulls against the hull of an embedded point set ------
+
+
+@st.composite
+def embeddings(draw):
+    """A full-dimensional rational point set Q in R^k (k = 1..3), integer
+    rows B and an axis permutation of R^n (k < n <= 4) for the embedding
+    A(x) = perm(x, Bx), and a shift v in R^k.  A maps Z^k onto the lattice
+    points of its image."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 4))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    q = [tuple(draw(coord) for _ in range(k))
+         for _ in range(draw(st.integers(k + 1, 6)))]
+    assume(matrix_rank([[a - b for a, b in zip(p, q[0])] for p in q]) == k)
+    rows = [[draw(st.integers(-2, 2)) for _ in range(k)]
+            for _ in range(n - k)]
+    perm = draw(st.permutations(range(n)))
+    v = tuple(draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+              for _ in range(k))
+
+    def embed(x):
+        y = tuple(x) + tuple(sum(b * c for b, c in zip(r, x)) for r in rows)
+        return tuple(y[perm[i]] for i in range(n))
+
+    return q, embed, v, perm.index(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embeddings())
+def test_lower_dimensional_hull_matches_embedded_hull(case):
+    q, embed, v, off_axis = case
+    hull, image = convex_hull(q), convex_hull([embed(p) for p in q])
+    k = len(q[0])
+    assert isinstance(image, LowerDimensionalHull) and image.dim == k
+    assert set(image.vertices) == {embed(w) for w in hull.vertices}
+    for p in q:
+        x = embed(p)
+        assert image.contains(x)
+        assert image.contains(x, strict=True) == hull.contains(p, strict=True)
+        # one step along an axis that B fills leaves the affine hull
+        assert not image.contains(x[:off_axis] + (x[off_axis] + 1,)
+                                  + x[off_axis + 1:])
+    for t in (F(0), F(1, 2), F(1), F(2)):
+        assert count(image, embed(v), t) == count(hull, v, t)
+        assert count_interior(image, embed(v), t) == count_interior(hull, v, t)
+        points = lattice_points_of(image, embed(v), t)
+        assert points == sorted(embed(p) for p in lattice_points_of(hull, v, t))

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from perigraph.quotient import (EdgeRecord, GraphError, QuotientGraph,
-                                ResourceLimit, Vertex, Walk, _shells, ball,
-                                closed_walk_vector, cumulative, distance,
-                                growth_sequence, is_strongly_connected,
-                                lattice_index, quotient_strongly_connected,
-                                validate)
+                                ResourceLimit, Vertex, Walk, _frame, _shells,
+                                ball, closed_walk_vector, cumulative,
+                                distance, growth_sequence,
+                                is_strongly_connected, lattice_index,
+                                quotient_strongly_connected, validate)
 
 
 def loop_graph(vectors, rank, weights=None):
@@ -116,7 +116,8 @@ def test_growth_budget_counts_the_ball(z2, wakatsuki):
 def test_undirected_search_keeps_a_window_of_shells(z2, wakatsuki):
     for g in [g for g in budget_nets(z2, wakatsuki) if g.undirected]:
         maxw = max(e.weight for e in g.edges)
-        search = _shells(g, Vertex(0, (0, 0)), 40, 10**6)
+        x0 = Vertex(0, (0, 0))
+        search = _shells(g, _frame(g, x0, 40, 10**6), x0, 40, 10**6)
         held = [len(search.gi_frame.f_locals["window"]) for _ in search]
         assert max(held) == 2 * maxw + 1
 

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perigraph.invariants import well_arranged
@@ -172,3 +173,68 @@ def test_reciprocity_battery_samples():
     assert not reciprocity_check(
         RationalSeries(P((1, 1, 4, 0, 2, 1, -1)), P((1, -2, 2, -2, 1))),
         2, "s")
+
+
+# -- sympy as the reference for reduction and reciprocity ------------------
+
+T = sympy.Symbol("t")
+
+
+def _expr(poly):
+    return sum(sympy.Rational(c.numerator, c.denominator) * T ** i
+               for i, c in enumerate(poly.coeffs))
+
+
+def _coeffs(expr):
+    """Ascending Fraction coefficients of a sympy polynomial in t."""
+    c = sympy.Poly(expr, T).all_coeffs()[::-1]
+    return [F(int(x.p), int(x.q)) for x in c]
+
+
+def _product(powers):
+    out = P((1,))
+    for a in powers:
+        out = out * one(a)
+    return out
+
+
+@st.composite
+def reciprocal_fits(draw):
+    """Fits h(t) * e(t) / (prod(1 - t^a) * e(t)) of the expanded series of
+    h / prod(1 - t^a), with e a product of further (1 - t^j) factors the
+    reduction must cancel.  h is palindromic, antipalindromic or arbitrary,
+    of degree sum(a) or sum(a) - 1: the first two are reciprocal with shift
+    0 or 1."""
+    powers = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    extra = draw(st.lists(st.integers(1, 3), max_size=2))
+    deg = sum(powers) - draw(st.integers(0, 1))
+    half = draw(st.lists(st.integers(-4, 4), min_size=deg + 1,
+                         max_size=deg + 1))
+    shape = draw(st.sampled_from(["palindromic", "antipalindromic", "any"]))
+    if shape == "palindromic":
+        half = [half[min(i, deg - i)] for i in range(deg + 1)]
+    elif shape == "antipalindromic":
+        half = [half[i] if i < deg - i else -half[deg - i] if i > deg - i
+                else 0 for i in range(deg + 1)]
+    assume(any(half))
+    den = _product(powers + extra)
+    terms = RationalSeries(P(half) * _product(extra), den).expand(
+        den.degree + 9)
+    return fit_rational(terms, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(reciprocal_fits(), st.integers(1, 4), st.sampled_from(["s", "b"]))
+def test_reduction_and_reciprocity_match_sympy(fit, n, kind):
+    num, den = sympy.fraction(sympy.cancel(_expr(fit.numerator)
+                                           / _expr(fit.denominator)))
+    # sympy's lowest terms, scaled to the constant term +1 of reduced()
+    c0 = sympy.Poly(den, T).eval(0)
+    red = fit.reduced()
+    assert red.denominator.coeffs == tuple(_coeffs(den / c0))
+    assert red.numerator.coeffs == tuple(_coeffs(num / c0))
+    g = _expr(fit.numerator) / _expr(fit.denominator)
+    sign, shift = ((-1) ** n, 0) if kind == "s" else ((-1) ** (n + 1), 1)
+    holds = sympy.cancel(g.subs(T, 1 / T) - sign * T ** shift * g) == 0
+    assert reciprocity_check(fit, n, kind) == holds
+    assert reciprocity_check(red, n, kind) == holds
