@@ -329,7 +329,8 @@ def cmd_ehrhart(args):
 
 def cmd_gammaq(args):
     poly, name = _load_polytope(args)
-    graph = _ehrhart.gamma_q(poly, name or "gamma_q")
+    graph = _ehrhart.gamma_q(poly, name or "gamma_q",
+                             max_states=args.max_states)
     text = emit_net(graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -340,7 +341,8 @@ def cmd_gammaq(args):
         "dilation": _ehrhart.minimal_dilation(poly),
         "edges": len(graph.edges),
         "reflexive": _ehrhart.is_reflexive(poly),
-        "strongly_connected": is_strongly_connected(graph),
+        "strongly_connected": is_strongly_connected(
+            graph, max_cycles=args.max_cycles),
     }
     if args.output:
         _emit(report, args)

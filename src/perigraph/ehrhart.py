@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .geometry import LowerDimensionalHull, lattice_scan, origin_interior, vdot
-from .quotient import EdgeRecord, QuotientGraph
+from .quotient import EdgeRecord, QuotientGraph, ResourceLimit
 from .series import QuasiPolynomial, fit_quasi_polynomial
 
 
@@ -124,15 +124,21 @@ def interior_shell_check(P, imax: int) -> bool:
     return True
 
 
-def gamma_q(P, name="gamma_q") -> QuotientGraph:
+def gamma_q(P, name="gamma_q", max_states=10_000_000) -> QuotientGraph:
     """Single-class periodic graph of a rational polytope: a loop of weight i
-    and vector m for every m in (i*P) n Z^N, for 0 < i < a*(dim P + 1)."""
+    and vector m for every m in (i*P) n Z^N, for 0 < i < a*(dim P + 1).
+
+    The loops are counted first, by ``count``, and more than ``max_states``
+    of them raise ResourceLimit before any is listed."""
     n = P.ambient_dim
-    a = minimal_dilation(P)
-    d = P.dim
     origin = (0,) * n
+    dilations = range(1, minimal_dilation(P) * (P.dim + 1))
+    loops = sum(count(P, origin, i) for i in dilations)
+    if loops > max_states:
+        raise ResourceLimit(f"gamma_q has {loops} loops, over the budget of "
+                            f"{max_states} states")
     raw = []
-    for i in range(1, a * (d + 1)):
+    for i in dilations:
         for m in lattice_points_of(P, origin, i):
             raw.append((m, i))
     # undirected iff the edge set is symmetric under vector negation

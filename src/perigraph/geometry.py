@@ -1,29 +1,29 @@
-"""Exact polyhedral geometry in small dimension (2--4).
+"""Exact polyhedral geometry in small dimension.
 
-Convex hulls are computed by exhaustive supporting-hyperplane search with
-exact integer predicates, after scaling the points by one common
-denominator: every n-subset of the m points is tried as a facet and tested
-against every point, O(m^(n+1)), which is fine at the scale of growth
-polytopes.  Lower-dimensional hulls are first-class results carrying their
-affine hull: the points are projected onto coordinates that are
-independent on their span, hulled there, and the facets spread back.  That
-integer span frame (``_span_frame``) also gives half-open regions their
-integer membership forms, and lattice-point scans test points with the
-same integer rows.
+Convex hulls are built by beneath-beyond (Clarkson & Shor 1989; the
+incremental step of Quickhull, Barber, Dobkin & Huhdanpaa 1996) on the
+points scaled to ints by one common denominator, so every predicate is
+exact and no epsilon is needed; the work grows with the facets the hull
+passes through, not with the n-subsets of the points.  Lower-dimensional
+hulls are first-class results carrying their affine hull: the points are
+projected onto coordinates that are independent on their span, hulled
+there, and the facets spread back.  That integer span frame
+(``_span_frame``) also gives half-open regions their integer membership
+forms, and lattice-point scans test points with the same integer rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
-from .field import (QuadExt, det, exact_ceil, exact_floor, matrix_rank,
-                    scalar_sign)
+from .field import QuadExt, det, exact_ceil, exact_floor, scalar_sign
 
 
 def vsub(p, q):
@@ -104,69 +104,80 @@ class LowerDimensionalHull:
 
     facet_vertices = Polytope.facet_vertices
 
-    def affine_coords(self, point):
-        """Coordinates of a point in ``hull``, or None if off the hull's
-        span."""
-        for e, f in self.equalities:
-            if scalar_sign(vdot(e, point) - f) != 0:
-                return None
-        return tuple(point[c] for c in self.coords)
-
     def contains(self, point, strict=False):
-        lam = self.affine_coords(point)
-        if lam is None:
+        if any(scalar_sign(vdot(e, point) - f) for e, f in self.equalities):
             return False
-        if self.dim == 0:  # a point is its own relative interior
-            return True
-        return self.hull.contains(lam, strict=strict)
+        # on the span, test the projection; a point is its own relint
+        return self.dim == 0 or self.hull.contains(
+            tuple(point[c] for c in self.coords), strict=strict)
 
 
-def _dedupe_sorted(points):
-    return sorted(set(_as_fractions(p) for p in points))
+def _echelon(rows):
+    """Indices of the int rows independent of the rows before them, by one
+    fraction-free elimination pass; their number is the rank.  A kept row
+    is zero at every earlier pivot and divided by its gcd."""
+    reduced, picked = [], []
+    for i, row in enumerate(rows):
+        for c, r in reduced:
+            if row[c]:
+                f, g = r[c], row[c]
+                row = [f * x - g * y for x, y in zip(row, r)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            g = gcd(*row)
+            reduced.append((c, [x // g for x in row]))
+            picked.append(i)
+            if len(picked) == len(row):
+                break
+    return picked
 
 
-def _full_dim_hull(points, n):
-    """Facet scan for points of full affine rank n (n >= 1)."""
-    if n == 1:
-        lo = min(points)[0]
-        hi = max(points)[0]
-        facets = (((1,), Fraction(hi)), ((-1,), Fraction(-lo)))
-        verts = ((lo,),) if lo == hi else ((lo,), (hi,))
-        return Polytope(1, verts, facets)
-    # one common denominator L turns every predicate into int arithmetic;
-    # a facet a.x <= b of the scaled points is a.x <= b/L of the originals
-    L = lcm(*(x.denominator for p in points for x in p))
-    scaled = [tuple(int(x * L) for x in p) for p in points]
+def _full_dim_hull(points, scaled, L, simplex):
+    """Beneath-beyond hull of points of full affine rank n >= 1, given as
+    ints ``scaled`` = L * points and the indices ``simplex`` of n + 1
+    affinely independent ones.
+
+    The boundary is a complex of simplicial facets (sorted index n-tuples)
+    with primitive normals, oriented by (n+1) times the simplex centroid,
+    which is integral and inside every later hull.  A point sees the facets
+    with a.p > b, strictly, so coplanar points stay beneath; each ridge of
+    exactly one visible facet is on the horizon and gets the facet ridge +
+    p.  Far points go first, so most inner points cost one pass over few
+    facets.  Facets with one normal merge at the end, and a point of the
+    complex is a vertex when its active normals have rank n.
+    """
+    n = len(simplex) - 1
+    inner = [sum(c) for c in zip(*(scaled[i] for i in simplex))]
     facets = {}
-    for idx in combinations(range(len(scaled)), n):
+
+    def add(idx):
         base = scaled[idx[0]]
         normal = cross_normal([vsub(scaled[i], base) for i in idx[1:]], n)
         g = gcd(*normal)
-        if g == 0:
-            continue
         normal = tuple(x // g for x in normal)
         b = vdot(normal, base)
-        lo = hi = False
-        for p in scaled:
-            s = vdot(normal, p) - b
-            if s > 0:
-                hi = True
-            elif s < 0:
-                lo = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if hi:  # flip so inequality is <=
-            normal = tuple(-x for x in normal)
-            b = -b
-        facets[normal] = b
-    facet_list = sorted(facets.items())
-    verts = []
-    for p, sp in zip(points, scaled):
-        active = [a for a, b in facet_list if vdot(a, sp) == b]
-        if len(active) >= n and matrix_rank(active) == n:
-            verts.append(p)
+        if vdot(normal, inner) > (n + 1) * b:
+            normal, b = tuple(-x for x in normal), -b
+        facets[idx] = normal, b
+
+    for i in simplex:
+        add(tuple(j for j in simplex if j != i))
+    for i in sorted(range(len(scaled)), key=lambda i: -sum(
+            (x * (n + 1) - c) ** 2 for x, c in zip(scaled[i], inner))):
+        visible = [idx for idx, (a, b) in facets.items()
+                   if vdot(a, scaled[i]) > b]
+        ridges = Counter(r for idx in visible
+                         for r in combinations(idx, n - 1))
+        for idx in visible:
+            del facets[idx]
+        for r, k in ridges.items():
+            if k == 1:
+                add(tuple(sorted(r + (i,))))
+    # facets in increasing normal order; a segment lists its upper end first
+    facet_list = sorted(set(facets.values()), reverse=n == 1)
+    verts = [points[i] for i in {i for idx in facets for i in idx}
+             if len(_echelon([a for a, b in facet_list
+                              if vdot(a, scaled[i]) == b])) == n]
     return Polytope(n, tuple(sorted(verts)),
                     tuple((a, Fraction(b, L)) for a, b in facet_list))
 
@@ -181,15 +192,14 @@ def _spread(coords, values, n):
 
 def _span_frame(vectors, n):
     """Integer frame of the span of k independent rational vectors in R^n:
-    (sel, adj, d, den, equalities).
+    (sel, square, d, den, equalities).
 
     den is the common denominator of the vectors, M the n x k integer
     matrix with columns den * vectors, sel the first k coordinates (in the
-    order of ``combinations``) with det M_sel != 0, d = |det M_sel| and adj
-    the signed adjugate of M_sel, so that M lam = x has lam = adj x_sel / d.
-    A point x lies in the span iff e . x == 0 for each of the n - k
-    primitive equality rows: for every coordinate c outside sel, the one
-    with d at c and -(M_c adj) at sel.
+    order of ``combinations``) with d = det M_sel != 0, and square the rows
+    M_sel.  A point x lies in the span iff e . x == 0 for each of the n - k
+    primitive equality rows: for every coordinate c outside sel, the normal
+    of the span within the coordinates sel + c, positive at c.
     """
     k = len(vectors)
     den = lcm(*(x.denominator for v in vectors for x in v))
@@ -201,54 +211,49 @@ def _span_frame(vectors, n):
             break
     else:
         raise ValueError("span vectors must be independent")
-    sign = 1 if d > 0 else -1
-    # adj[j][i] is the cofactor of entry (i, j) of the selected rows
-    adj = [[sign * (-1) ** (i + j) * det(
-        [r[:j] + r[j + 1:] for t, r in enumerate(square) if t != i])
-        for i in range(k)] for j in range(k)]
-    d = abs(d)
     equalities = []
     for c in range(n):
         if c not in sel:
-            row = list(_spread(sel, [-sum(rows[c][j] * adj[j][i]
-                                          for j in range(k))
-                                     for i in range(k)], n))
-            row[c] = d
-            g = gcd(*row)
+            cs = sorted(sel + (c,))
+            row = _spread(cs, cross_normal(list(zip(*(rows[t] for t in cs))),
+                                           k + 1), n)
+            g = gcd(*row) if row[c] > 0 else -gcd(*row)
             equalities.append(tuple(x // g for x in row))
-    return sel, adj, d, den, equalities
+    return sel, square, d, den, equalities
 
 
 def convex_hull(points):
     """Exact convex hull; returns a Polytope or a LowerDimensionalHull.
 
-    Points of affine rank k < n are projected onto the coordinates sel of
+    The points are scaled by one common denominator L to ints, and one
+    integer echelon pass (``_echelon``) over their differences from the
+    least point gives the affine rank k and k + 1 affinely independent
+    points.  Points of rank k < n are projected onto the coordinates sel of
     their span's frame (``_span_frame``), which is one-to-one on their
     affine hull; each facet a.y <= b of the projected hull, spread to sel,
     is a primitive ambient row.
     """
-    pts = _dedupe_sorted(points)
+    pts = sorted(set(map(_as_fractions, points)))
     if not pts:
         raise ValueError("empty point set")
-    n = len(pts[0])
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    rank = matrix_rank(diffs) if diffs else 0
+    n, base = len(pts[0]), pts[0]
+    # a row a.x <= b of the scaled points is a.x <= b/L of the originals
+    L = lcm(*(x.denominator for p in pts for x in p))
+    scaled = [tuple(int(x * L) for x in p) for p in pts]
+    diffs = [vsub(p, scaled[0]) for p in scaled[1:]]
+    picked = _echelon(diffs)
+    simplex = [0] + [i + 1 for i in picked]
+    rank = len(picked)
     if rank == n:
-        return _full_dim_hull(pts, n)
-    # affine basis: greedily independent difference vectors
-    basis = []
-    for d in diffs:
-        if matrix_rank(basis + [d]) > len(basis):
-            basis.append(d)
-        if len(basis) == rank:
-            break
-    sel, _, _, _, eq_rows = _span_frame(basis, n)
+        return _full_dim_hull(pts, scaled, L, simplex)
+    sel, _, _, _, eq_rows = _span_frame([diffs[i] for i in picked], n)
     equalities = tuple((e, Fraction(vdot(e, base))) for e in eq_rows)
     if rank == 0:
         return LowerDimensionalHull(n, 0, (), None, (base,), equalities, ())
-    by_coords = {tuple(p[c] for c in sel): p for p in pts}
-    sub = _full_dim_hull(sorted(by_coords), rank)
+    proj = [tuple(p[c] for c in sel) for p in pts]
+    sub = _full_dim_hull(proj, [tuple(p[c] for c in sel) for p in scaled], L,
+                         simplex)
+    by_coords = dict(zip(proj, pts))
     verts = tuple(sorted(by_coords[y] for y in sub.vertices))
     facets = tuple((_spread(sel, a, n), b) for a, b in sub.facets)
     return LowerDimensionalHull(n, rank, sel, sub, verts, equalities, facets)
@@ -273,10 +278,6 @@ def gauge(poly: Polytope, y):
     return best
 
 
-def _lex_min(points):
-    return min(points)
-
-
 def _pull_triangulation(vertices, apex=None):
     """Pulling triangulation of conv(vertices); simplices as vertex tuples.
 
@@ -289,7 +290,7 @@ def _pull_triangulation(vertices, apex=None):
         return [tuple(vertices)]
     hull = convex_hull(vertices)
     if apex is None:
-        apex = _lex_min(vertices)
+        apex = min(vertices)
     apex = _as_fractions(apex)
     simplices = []
     for i in range(len(hull.facets)):
@@ -305,7 +306,7 @@ def triangulate_facet(poly: Polytope, facet_index: int, apex=None):
     """Fan triangulation of a facet from a chosen facet vertex."""
     fverts = poly.facet_vertices(facet_index)
     if apex is None:
-        apex = _lex_min(fverts)
+        apex = min(fverts)
     apex = _as_fractions(apex)
     if apex not in fverts:
         raise ValueError("apex must be a vertex of the facet")
@@ -316,17 +317,11 @@ def triangulate_facet(poly: Polytope, facet_index: int, apex=None):
 
 def volume(poly: Polytope):
     """Euclidean-lattice-normalized volume (sum of |det|/n!)."""
-    n = poly.ambient_dim
-    apex = _lex_min(poly.vertices)
-    from math import factorial
-    total = Fraction(0)
-    for i, (a, b) in enumerate(poly.facets):
-        if vdot(a, apex) == b:
-            continue
-        for simplex in triangulate_facet(poly, i):
-            mat = [vsub(v, apex) for v in simplex]
-            total += abs(det(mat))
-    return total / factorial(n)
+    apex = min(poly.vertices)
+    total = sum(abs(det([vsub(v, apex) for v in simplex]))
+                for i, (a, b) in enumerate(poly.facets) if vdot(a, apex) != b
+                for simplex in triangulate_facet(poly, i))
+    return Fraction(total, factorial(poly.ambient_dim))
 
 
 def _denominator(x) -> int:
@@ -342,14 +337,19 @@ def _region_frame(n, generators, extents):
 
     The extents are folded into the generators; over the span frame of the
     folded generators (``_span_frame``) the coefficients are
-    den * (adj rel_sel) / d, and the frame's equalities keep rel in the span.
+    den * (adj rel_sel) / |d|, and the frame's equalities keep rel in the span.
     """
     if any(Fraction(e) <= 0 for e in extents):
         raise ValueError("region extents must be positive")
     folded = [[Fraction(e) * x for x in g] for g, e in zip(generators, extents)]
-    sel, adj, d, den, equalities = _span_frame(folded, n)
+    sel, square, d, den, equalities = _span_frame(folded, n)
+    k, sign = len(sel), 1 if d > 0 else -1
+    # M lam = x has lam = adj x_sel / |d|, adj the signed adjugate of M_sel
+    adj = [[sign * (-1) ** (i + j) * det(
+        [r[:j] + r[j + 1:] for t, r in enumerate(square) if t != i])
+        for i in range(k)] for j in range(k)]
     forms = [_spread(sel, [den * x for x in row], n) for row in adj]
-    return forms, equalities, d
+    return forms, equalities, abs(d)
 
 
 @dataclass(frozen=True)

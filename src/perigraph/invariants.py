@@ -289,7 +289,8 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
 
     Semi-decision: a negative verdict is returned only with a proof (the
     graph is directed, or x0 is not P-initial); exhausting the candidate
-    d_v multiples and fan apices yields "unknown".
+    d_v multiples and fan apices yields "unknown", whose reason names the
+    last multiple tried, the facet no fan passed and the apices tried.
     """
     _require_realization(graph)
     if not graph.undirected:
@@ -308,6 +309,7 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
             None, None, None, None, None, pdata)
     base_d = {v: w for v, (w, _) in pdata.witnesses.items()}
     fans = {}  # (facet, apex) -> fan; the same for every multiple
+    reason = "candidate search exhausted"
     for multiple in range(1, max_multiple + 1):
         d_map = {v: multiple * w for v, w in base_d.items()}
         apices = {}
@@ -327,6 +329,11 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
                     chosen = (apex, simplices)
                     break
             if chosen is None:
+                tried = ", ".join(f"({', '.join(map(str, v))})"
+                                  for v in fverts)
+                reason = (f"candidate search exhausted: at multiple "
+                          f"{multiple}, no fan of facet {fi} passes the "
+                          f"distance identity (apices tried: {tried})")
                 ok = False
                 break
             apices[fi] = chosen[0]
@@ -335,8 +342,8 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
             return WellArrangedResult("well-arranged", "witness found", d_map,
                                       apices, tuple(all_simplices), polytope,
                                       multiple, pdata)
-    return WellArrangedResult("unknown", "candidate search exhausted", None,
-                              None, None, polytope, None, pdata)
+    return WellArrangedResult("unknown", reason, None, None, None, polytope,
+                              None, pdata)
 
 
 def _class_ball(graph, cls, radius, cache, max_states):

@@ -335,30 +335,43 @@ def _fraction_hull(points, n):
     return Polytope(n, tuple(sorted(verts)), tuple(facet_list))
 
 
+def _reference_hull(points, scaled, L, simplex):
+    """_fraction_hull in the place of the integer hull of _full_dim_hull."""
+    return _fraction_hull(points, len(simplex) - 1)
+
+
 @st.composite
 def point_sets(draw, max_dim=4, small=small):
-    """Rational point sets in 2-max_dim D; about half lie in a proper affine
-    subspace (base plus combinations of fewer than n directions)."""
+    """Rational point sets in 2-max_dim D, up to 30 points in 2D, 16 in 3D
+    and 12 in 4D: generic ones, ones on a small integer grid (many
+    collinear and coplanar points), and ones in a proper affine subspace
+    (base plus combinations of fewer than n directions); a few points may
+    repeat."""
     n = draw(st.integers(2, max_dim))
-    m = draw(st.integers(1, 8 if n < 4 else 7))
-    if draw(st.booleans()):
-        return [tuple(draw(small) for _ in range(n)) for _ in range(m)]
-    r = draw(st.integers(0, n - 1))
-    base = tuple(draw(small) for _ in range(n))
-    dirs = [tuple(draw(small) for _ in range(n)) for _ in range(r)]
-    pts = []
-    for _ in range(m):
-        cs = [draw(small) for _ in dirs]
-        pts.append(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs))
-                         for i, b in enumerate(base)))
-    return pts
+    m = draw(st.integers(1, {2: 30, 3: 16, 4: 12}[n]))
+    kind = draw(st.sampled_from(("generic", "grid", "flat")))
+    if kind == "generic":
+        pts = [tuple(draw(small) for _ in range(n)) for _ in range(m)]
+    elif kind == "grid":
+        grid = st.integers(-2, 2).map(F)
+        pts = [tuple(draw(grid) for _ in range(n)) for _ in range(m)]
+    else:
+        r = draw(st.integers(0, n - 1))
+        base = tuple(draw(small) for _ in range(n))
+        dirs = [tuple(draw(small) for _ in range(n)) for _ in range(r)]
+        pts = []
+        for _ in range(m):
+            cs = [draw(small) for _ in dirs]
+            pts.append(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs))
+                             for i, b in enumerate(base)))
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
 
 
 @settings(max_examples=120, deadline=None)
 @given(point_sets())
 def test_integer_hull_matches_fraction_hull(pts):
     hull = convex_hull(pts)
-    with mock.patch.object(geometry, "_full_dim_hull", _fraction_hull):
+    with mock.patch.object(geometry, "_full_dim_hull", _reference_hull):
         reference = convex_hull(pts)
     assert hull == reference
     # both hull types carry one H-representation: primitive int normals
@@ -367,6 +380,50 @@ def test_integer_hull_matches_fraction_hull(pts):
     assert all(type(b) is F for _, b in rows)
     assert all(type(x) is int for a, _ in rows for x in a)
     assert all(gcd(*a) == 1 for a, _ in rows)
+    # each equality row is positive at its one coordinate outside coords
+    for e, _ in hull.equalities:
+        off = [c for c, x in enumerate(e) if x and c not in hull.coords]
+        assert len(off) == 1 and e[off[0]] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.randoms(use_true_random=False))
+def test_hull_ignores_input_order(pts, rng):
+    shuffled = list(pts)
+    rng.shuffle(shuffled)
+    assert convex_hull(shuffled) == convex_hull(pts)
+
+
+def test_hull_5d_matches_fraction_hull():
+    rng = random.Random(5)
+    unit = [tuple(F(int(i == j)) for j in range(5)) for i in range(5)]
+    simplex = unit + [(F(-1),) * 5]
+    for extra in ([], [(F(0),) * 5], [tuple(F(rng.randint(-2, 2), 2)
+                                           for _ in range(5))
+                                     for _ in range(5)]):
+        pts = simplex + extra
+        hull = convex_hull(pts)
+        with mock.patch.object(geometry, "_full_dim_hull", _reference_hull):
+            assert hull == convex_hull(pts)
+    # a facet of the simplex with its centroid: a 4D hull in 5D
+    face = convex_hull(unit + [(F(1, 5),) * 5])
+    assert face.dim == 4 and face.equalities == (((1,) * 5, F(1)),)
+    assert sorted(face.vertices) == sorted(unit)
+
+
+def test_hull_builds_few_facet_planes():
+    """Beneath-beyond builds a facet plane for each facet it ever holds; the
+    scan built one for every n-subset, C(200, 2) = 19,900 and C(80, 3) =
+    82,160 on these sets."""
+    rng = random.Random(17)
+    for n, m in ((2, 200), (3, 80)):
+        pts = [tuple(F(rng.randint(-999, 999), rng.randint(1, 9))
+                     for _ in range(n)) for _ in range(m)]
+        with mock.patch.object(geometry, "cross_normal",
+                               wraps=geometry.cross_normal) as planes:
+            hull = convex_hull(pts)
+        assert all(hull.contains(p) for p in pts)
+        assert planes.call_count <= 2 * m, (n, m, planes.call_count)
 
 
 @settings(max_examples=60, deadline=None)

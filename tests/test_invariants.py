@@ -12,7 +12,7 @@ from perigraph.cycles import growth_polytope
 from perigraph.geometry import volume
 from perigraph.field import QuadExt
 from perigraph.geometry import (HalfOpenRegion, convex_hull, gauge,
-                                integer_box, vadd, vsub)
+                                integer_box, triangulate_facet, vadd, vsub)
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
                                   c1, c2, edge_count_ball, support_distance,
                                   verify_alpha_ehrhart, well_arranged)
@@ -70,6 +70,29 @@ edge: v1 v2 0 0 1
         (QuadExt(2, 1, F(3, 35)), 3, "support")]
     assert [well_arranged(g, origin(g, i)).status for i in range(3)] == [
         "unknown", "unknown", "not-well-arranged"]
+
+
+def test_unknown_verdict_names_the_failing_facet(wakatsuki):
+    x0 = origin(wakatsuki)
+    result = well_arranged(wakatsuki, x0, max_multiple=2)
+    assert result.status == "unknown"
+    poly = result.polytope
+    d_map = {v: 2 * w for v, (w, _) in result.pdata.witnesses.items()}
+
+    def fan_passes(fi, apex):
+        return all(invariants._wa_condition(wakatsuki, x0, d_map, simplex, {},
+                                            10_000_000)
+                   for simplex in triangulate_facet(poly, fi, apex))
+
+    # the first facet on which no fan passes at the last multiple
+    fi = next(fi for fi in range(len(poly.facets))
+              if not any(fan_passes(fi, apex)
+                         for apex in poly.facet_vertices(fi)))
+    apices = ", ".join(f"({', '.join(map(str, v))})"
+                       for v in poly.facet_vertices(fi))
+    assert result.reason == (
+        f"candidate search exhausted: at multiple 2, no fan of facet {fi} "
+        f"passes the distance identity (apices tried: {apices})")
 
 
 def test_constants_dia(dia):

@@ -47,6 +47,8 @@ def test_net_errors():
 NO_RANK_POLY = "format: pgpoly/1\nvertex: 0 0\nvertex: 1\nvertex: 0 1 2\n"
 ZERO_DEN_NET = "format: pgnet/1\nrank: 1\nclass: a 1/0\nedge: a a 1 1\n"
 ZERO_DEN_POLY = "format: pgpoly/1\nrank: 2\nvertex: 0 0\nvertex: 1/0 1\n"
+HUGE_POLY = ("format: pgpoly/1\nrank: 2\nvertex: 99999999999/7 0\n"
+             "vertex: 0 1\nvertex: 0 -1\nvertex: -1 0\n")
 
 
 def test_zero_denominator_names_the_line():
@@ -196,6 +198,27 @@ def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
         path = fixture_path(argv[1])
     assert run_command([argv[0], str(path), *argv[2:]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_gammaq_budget_exits_2(tmp_path, capsys):
+    # about 4.1e13 loops: counted, not listed, and refused
+    huge = tmp_path / "huge.poly"
+    huge.write_text(HUGE_POLY)
+    out = str(tmp_path / "g.net")
+    assert run_command(["gammaq", str(huge), "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # the triangle has 4 + 10 loops
+    triangle = str(fixture_path("reflexive_triangle.poly"))
+    assert run_command(["gammaq", triangle, "-o", out,
+                        "--max-states", "13"]) == 2
+    assert "14 loops" in capsys.readouterr().err
+    assert run_command(["gammaq", triangle, "-o", out,
+                        "--max-states", "14"]) == 0
+    # its strong-connectivity test enumerates the 14 loops as cycles
+    capsys.readouterr()
+    assert run_command(["gammaq", triangle, "-o", out,
+                        "--max-cycles", "13"]) == 2
+    assert "cycle enumeration exceeded" in capsys.readouterr().err
 
 
 def test_cli_budget_overrun_exits_2(capsys):
