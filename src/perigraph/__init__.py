@@ -23,9 +23,8 @@ from .invariants import (AsymptoticConstants, WellArrangedResult,
 from .netfile import (FormatError, emit_net, emit_polytope, parse_net,
                       parse_polytope)
 from .quotient import (EdgeRecord, GraphError, QuotientGraph, ResourceLimit,
-                       Vertex, Walk, ball, closed_walk_vector, cumulative,
-                       distance, growth_sequence, is_strongly_connected,
-                       validate)
+                       Vertex, ball, closed_walk_vector, cumulative, distance,
+                       growth_sequence, is_strongly_connected, validate)
 from .series import (FitError, IntPolynomial, QuasiPolynomial, RationalSeries,
                      cumulative_series, density_cross_check,
                      fit_quasi_polynomial, fit_rational, interpolate,

@@ -49,9 +49,12 @@ def _load_polytope(args):
 
 
 def _check_terms(args):
-    """Refuse --terms below 1, for which every check would be vacuous."""
-    if args.terms is not None and args.terms < 1:
-        raise CliError(f"--terms must be at least 1, got {args.terms}")
+    """Refuse --terms or --guard below 1, for which every check would be
+    vacuous."""
+    for flag in ("terms", "guard"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise CliError(f"--{flag} must be at least 1, got {value}")
 
 
 def _start_vertex(graph, args):

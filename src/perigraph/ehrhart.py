@@ -94,9 +94,7 @@ def verify_reciprocity(P, v, alpha, qp=None, imax=6) -> bool:
     M = P.dim
     sign = (-1) ** M
     neg_v = tuple(-Fraction(x) for x in v)
-    start = floor(alpha) + 1
-    if start <= alpha:  # alpha integral: strict inequality
-        start += 1
+    start = floor(alpha) + 1  # the least integer above alpha
     for i in range(max(1, start), imax + 1):
         lhs = qp.evaluate(-i)
         rhs = sign * count_interior(P, neg_v, Fraction(i) - alpha)

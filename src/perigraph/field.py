@@ -220,11 +220,45 @@ def format_scalar(x) -> str:
 
 # -- exact linear algebra ---------------------------------------------
 
-def _exact(rows):
-    """Copy of a matrix with int entries as Fractions, so that ``/`` stays
-    exact."""
-    return [[Fraction(x) if isinstance(x, int) else x for x in r]
-            for r in rows]
+def eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968; Nakos, Turner & Williams, ACM SIGSAM Bull. 31, 1997) of a matrix
+    on its first ``ncols`` columns; later columns are carried along.
+
+    Returns (pivots, m, d, sign).  Each pivot column is the first column
+    independent of the pivots before it, so the k = len(pivots) of them are
+    the lexicographically first k columns with a nonzero minor, and k is the
+    rank.  Row t < k of m is d times row t of the reduced echelon form: d
+    at pivots[t], 0 at the other pivots.  Rows from k on are zero in the
+    first ``ncols`` columns.  d is plus or minus a nonzero k x k minor (1
+    when k = 0), and for a square matrix of full rank sign * d is its
+    determinant.  Every division is exact: int input stays int (by ``//``);
+    other input has its ints made Fractions and divides by ``/``.
+    """
+    integral = all(isinstance(x, int) for r in rows for x in r)
+    m = [list(r) if integral else
+         [Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    pivots, d, sign = [], 1 if integral else Fraction(1), 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        row, p = m[r], m[r][c]
+        for i, other in enumerate(m):
+            if i != r:
+                f = other[c]
+                m[i] = ([(p * a - f * b) // d for a, b in zip(other, row)]
+                        if integral else
+                        [(p * a - f * b) / d for a, b in zip(other, row)])
+        pivots.append(c)
+        d = p
+    return pivots, m, d, sign
 
 
 def solve_linear(rows, rhs):
@@ -233,76 +267,24 @@ def solve_linear(rows, rhs):
     Works over any field of scalars supported above.  Free variables are
     set to 0.  ``rows`` is a list of coefficient rows.
     """
-    m = _exact(list(r) + [v] for r, v in zip(rows, rhs))
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if scalar_sign(m[i][c]) != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_coeff = m[r][c]
-        m[r] = [v / inv_coeff for v in m[r]]
-        for i in range(nrows):
-            if i != r and scalar_sign(m[i][c]) != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if scalar_sign(m[i][ncols]) != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
+    n = len(rows[0]) if rows else 0
+    pivots, m, d, _ = eliminate([list(r) + [v] for r, v in zip(rows, rhs)],
+                                n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[n], d) if type(d) is int else row[n] / d
     return x
 
 
 def matrix_rank(rows) -> int:
-    m = _exact(rows)
-    nrows, ncols = len(m), (len(m[0]) if m else 0)
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if scalar_sign(m[i][c]) != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, nrows):
-            if scalar_sign(m[i][c]) != 0:
-                f = m[i][c] / m[rank][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def det(rows):
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Every division is exact, so int input gives an int (by ``//``) and
-    rational or quadratic input a Fraction or QuadExt (by ``/``).
-    """
-    n = len(rows)
-    integral = all(isinstance(x, int) for r in rows for x in r)
-    m = [list(r) for r in rows] if integral else _exact(rows)
-    sign, prev = 1, 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if scalar_sign(m[i][c]) != 0), None)
-        if piv is None:
-            return 0 if integral else Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        p = m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            for j in range(c + 1, n):
-                v = m[i][j] * p - f * m[c][j]
-                m[i][j] = v // prev if integral else v / prev
-        prev = p
-    return sign * prev
+    """Exact determinant; int input gives an int, rational or quadratic
+    input a Fraction or QuadExt."""
+    pivots, _, d, sign = eliminate(rows, len(rows))
+    # below full rank, d - d is the zero of the input's scalar type
+    return sign * d if len(pivots) == len(rows) else d - d

@@ -7,9 +7,11 @@ exact and no epsilon is needed; the work grows with the facets the hull
 passes through, not with the n-subsets of the points.  Lower-dimensional
 hulls are first-class results carrying their affine hull: the points are
 projected onto coordinates that are independent on their span, hulled
-there, and the facets spread back.  That integer span frame
-(``_span_frame``) also gives half-open regions their integer membership
-forms, and lattice-point scans test points with the same integer rows.
+there, and the facets spread back.  Ranks, facet normals and span frames
+all come from one fraction-free elimination, ``field.eliminate``.  The
+integer span frame (``_span_frame``) also gives half-open regions their
+integer membership forms, and lattice-point scans test points with the
+same integer rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .field import QuadExt, det, exact_ceil, exact_floor, scalar_sign
+from .field import (QuadExt, det, eliminate, exact_ceil, exact_floor,
+                    scalar_sign)
 
 
 def vsub(p, q):
@@ -49,13 +52,33 @@ def _as_fractions(p):
     return tuple(Fraction(x) for x in p)
 
 
+def _spread(coords, values, n):
+    """The vector of R^n with ``values`` at ``coords`` and 0 elsewhere."""
+    vec = [0] * n
+    for c, x in zip(coords, values):
+        vec[c] = x
+    return tuple(vec)
+
+
+def _null_rows(pivots, m, d, n):
+    """(c, e) for each free column c < n of a matrix eliminated by
+    ``eliminate``: e is d at c and -m[t][c] at pivots[t], so m, and with it
+    the matrix, maps e to 0."""
+    for c in range(n):
+        if c not in pivots:
+            yield c, _spread([*pivots, c],
+                             [-r[c] for _, r in zip(pivots, m)] + [d], n)
+
+
 def cross_normal(vectors, n):
-    """Vector orthogonal to n-1 vectors in R^n (generalized cross product)."""
-    normal = []
-    for j in range(n):
-        minor = [[v[k] for k in range(n) if k != j] for v in vectors]
-        normal.append((-1) ** j * det(minor))
-    return tuple(normal)
+    """Vector orthogonal to n-1 vectors in R^n: the generalized cross
+    product, (-1)^j times the determinant of the vectors without coordinate
+    j, read off their one null row; 0 when the vectors are dependent."""
+    pivots, m, d, sign = eliminate(vectors, n)
+    if len(pivots) < n - 1:
+        return (0,) * n
+    (c, row), = _null_rows(pivots, m, d, n)
+    return tuple(sign * (-1) ** c * x for x in row)
 
 
 @dataclass(frozen=True)
@@ -112,26 +135,6 @@ class LowerDimensionalHull:
             tuple(point[c] for c in self.coords), strict=strict)
 
 
-def _echelon(rows):
-    """Indices of the int rows independent of the rows before them, by one
-    fraction-free elimination pass; their number is the rank.  A kept row
-    is zero at every earlier pivot and divided by its gcd."""
-    reduced, picked = [], []
-    for i, row in enumerate(rows):
-        for c, r in reduced:
-            if row[c]:
-                f, g = r[c], row[c]
-                row = [f * x - g * y for x, y in zip(row, r)]
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is not None:
-            g = gcd(*row)
-            reduced.append((c, [x // g for x in row]))
-            picked.append(i)
-            if len(picked) == len(row):
-                break
-    return picked
-
-
 def _full_dim_hull(points, scaled, L, simplex):
     """Beneath-beyond hull of points of full affine rank n >= 1, given as
     ints ``scaled`` = L * points and the indices ``simplex`` of n + 1
@@ -176,62 +179,52 @@ def _full_dim_hull(points, scaled, L, simplex):
     # facets in increasing normal order; a segment lists its upper end first
     facet_list = sorted(set(facets.values()), reverse=n == 1)
     verts = [points[i] for i in {i for idx in facets for i in idx}
-             if len(_echelon([a for a, b in facet_list
-                              if vdot(a, scaled[i]) == b])) == n]
+             if len(eliminate([a for a, b in facet_list
+                               if vdot(a, scaled[i]) == b], n)[0]) == n]
     return Polytope(n, tuple(sorted(verts)),
                     tuple((a, Fraction(b, L)) for a, b in facet_list))
 
 
-def _spread(coords, values, n):
-    """The vector of R^n with ``values`` at ``coords`` and 0 elsewhere."""
-    vec = [0] * n
-    for c, x in zip(coords, values):
-        vec[c] = x
-    return tuple(vec)
-
-
 def _span_frame(vectors, n):
     """Integer frame of the span of k independent rational vectors in R^n:
-    (sel, square, d, den, equalities).
+    (sel, forms, equalities, D).
 
-    den is the common denominator of the vectors, M the n x k integer
-    matrix with columns den * vectors, sel the first k coordinates (in the
-    order of ``combinations``) with d = det M_sel != 0, and square the rows
-    M_sel.  A point x lies in the span iff e . x == 0 for each of the n - k
-    primitive equality rows: for every coordinate c outside sel, the normal
-    of the span within the coordinates sel + c, positive at c.
+    With den the common denominator of the vectors and A the k x n int
+    matrix of rows den * vectors, one elimination (``eliminate``) of
+    [A | I_k] gives sel, the first k coordinates on which A is invertible
+    (the pivots), D = |d| = |det A_sel|, and d * A_sel^-1 on the right.  A
+    point x = sum_j lam_j vectors_j has lam_j = forms_j . x / D, form j being
+    den * sign(d) times column j of the right block, spread to sel.  A point
+    lies in the span iff e . x == 0 for each of the n - k equality rows: the
+    null rows of A, primitive and positive at their free column.
     """
     k = len(vectors)
     den = lcm(*(x.denominator for v in vectors for x in v))
-    rows = [[int(v[c] * den) for v in vectors] for c in range(n)]
-    for sel in combinations(range(n), k):
-        square = [rows[c] for c in sel]
-        d = det(square)
-        if d != 0:
-            break
-    else:
+    sel, m, d, _ = eliminate([[int(x * den) for x in v] +
+                              [int(i == j) for j in range(k)]
+                              for i, v in enumerate(vectors)], n)
+    if len(sel) < k:
         raise ValueError("span vectors must be independent")
+    s = den if d > 0 else -den
+    forms = [_spread(sel, [s * r[n + j] for r in m], n) for j in range(k)]
     equalities = []
-    for c in range(n):
-        if c not in sel:
-            cs = sorted(sel + (c,))
-            row = _spread(cs, cross_normal(list(zip(*(rows[t] for t in cs))),
-                                           k + 1), n)
-            g = gcd(*row) if row[c] > 0 else -gcd(*row)
-            equalities.append(tuple(x // g for x in row))
-    return sel, square, d, den, equalities
+    for _, row in _null_rows(sel, m, d, n):
+        g = gcd(*row) if d > 0 else -gcd(*row)
+        equalities.append(tuple(x // g for x in row))
+    return tuple(sel), forms, equalities, abs(d)
 
 
 def convex_hull(points):
     """Exact convex hull; returns a Polytope or a LowerDimensionalHull.
 
     The points are scaled by one common denominator L to ints, and one
-    integer echelon pass (``_echelon``) over their differences from the
-    least point gives the affine rank k and k + 1 affinely independent
-    points.  Points of rank k < n are projected onto the coordinates sel of
-    their span's frame (``_span_frame``), which is one-to-one on their
-    affine hull; each facet a.y <= b of the projected hull, spread to sel,
-    is a primitive ambient row.
+    elimination (``eliminate``) of the transpose of their differences from
+    the least point picks the differences independent of those before them:
+    the affine rank k and k + 1 affinely independent points.  Points of
+    rank k < n are projected onto the coordinates sel of their span's frame
+    (``_span_frame``), which is one-to-one on their affine hull; each facet
+    a.y <= b of the projected hull, spread to sel, is a primitive ambient
+    row.
     """
     pts = sorted(set(map(_as_fractions, points)))
     if not pts:
@@ -241,12 +234,12 @@ def convex_hull(points):
     L = lcm(*(x.denominator for p in pts for x in p))
     scaled = [tuple(int(x * L) for x in p) for p in pts]
     diffs = [vsub(p, scaled[0]) for p in scaled[1:]]
-    picked = _echelon(diffs)
+    picked = eliminate(list(zip(*diffs)), len(diffs))[0]
     simplex = [0] + [i + 1 for i in picked]
     rank = len(picked)
     if rank == n:
         return _full_dim_hull(pts, scaled, L, simplex)
-    sel, _, _, _, eq_rows = _span_frame([diffs[i] for i in picked], n)
+    sel, _, eq_rows, _ = _span_frame([diffs[i] for i in picked], n)
     equalities = tuple((e, Fraction(vdot(e, base))) for e in eq_rows)
     if rank == 0:
         return LowerDimensionalHull(n, 0, (), None, (base,), equalities, ())
@@ -335,21 +328,13 @@ def _region_frame(n, generators, extents):
     equalities, D) with rel inside iff 0 <= form . rel < D for every form and
     e . rel == 0 for every equality.
 
-    The extents are folded into the generators; over the span frame of the
-    folded generators (``_span_frame``) the coefficients are
-    den * (adj rel_sel) / |d|, and the frame's equalities keep rel in the span.
+    The extents are folded into the generators, so the coefficients over the
+    span frame of the folded generators (``_span_frame``) lie in [0, 1).
     """
     if any(Fraction(e) <= 0 for e in extents):
         raise ValueError("region extents must be positive")
     folded = [[Fraction(e) * x for x in g] for g, e in zip(generators, extents)]
-    sel, square, d, den, equalities = _span_frame(folded, n)
-    k, sign = len(sel), 1 if d > 0 else -1
-    # M lam = x has lam = adj x_sel / |d|, adj the signed adjugate of M_sel
-    adj = [[sign * (-1) ** (i + j) * det(
-        [r[:j] + r[j + 1:] for t, r in enumerate(square) if t != i])
-        for i in range(k)] for j in range(k)]
-    forms = [_spread(sel, [den * x for x in row], n) for row in adj]
-    return forms, equalities, abs(d)
+    return _span_frame(folded, n)[1:]
 
 
 @dataclass(frozen=True)

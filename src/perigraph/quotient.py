@@ -111,42 +111,6 @@ def validate(graph: QuotientGraph):
     return graph
 
 
-@dataclass(frozen=True)
-class Walk:
-    """A walk in the periodic graph: start vertex plus quotient edge indices."""
-
-    graph: QuotientGraph
-    start: Vertex
-    edge_indices: tuple
-
-    def __post_init__(self):
-        cls = self.start.cls
-        for i in self.edge_indices:
-            e = self.graph.edges[i]
-            if e.src != cls:
-                raise GraphError("walk edges are not consecutive")
-            cls = e.tgt
-
-    @property
-    def weight(self):
-        return sum(self.graph.edges[i].weight for i in self.edge_indices)
-
-    def end(self) -> Vertex:
-        off = list(self.start.offset)
-        cls = self.start.cls
-        for i in self.edge_indices:
-            e = self.graph.edges[i]
-            off = [a + b for a, b in zip(off, e.vector)]
-            cls = e.tgt
-        return Vertex(cls, tuple(off))
-
-    def class_support(self):
-        supp = {self.start.cls}
-        for i in self.edge_indices:
-            supp.add(self.graph.edges[i].tgt)
-        return frozenset(supp)
-
-
 def closed_walk_vector(graph: QuotientGraph, edge_indices) -> tuple:
     """Total translation vector of a closed walk given by edge indices."""
     cls = graph.edges[edge_indices[0]].src
@@ -418,7 +382,7 @@ def lattice_index(vectors, n) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         for i in range(rank + 1, len(rows)):
             while rows[i][c] != 0:
-                q = rows[rank][c] // rows[i][c] if rows[i][c] != 0 else 0
+                q = rows[rank][c] // rows[i][c]
                 rows[rank] = [a - q * b for a, b in zip(rows[rank], rows[i])]
                 rows[rank], rows[i] = rows[i], rows[rank]
             # now rows[i][c] == 0

@@ -225,6 +225,8 @@ def rational_from_terms(terms, denominator: IntPolynomial, guard: int = 8
     denominator (needed when exceptional leading terms make the series an
     improper rational function).  The last ``guard`` supplied terms must
     produce vanishing product coefficients."""
+    if guard < 0:
+        raise FitError(f"guard must be nonnegative, got {guard}")
     m = len(terms) - 1
     cutoff = m - guard
     if cutoff < denominator.degree:

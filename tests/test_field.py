@@ -6,9 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigraph.field import (QuadExt, det, exact_ceil, exact_floor,
-                             format_scalar, matrix_rank, parse_scalar,
-                             solve_linear)
+from perigraph.field import (QuadExt, det, eliminate, exact_ceil,
+                             exact_floor, format_scalar, matrix_rank,
+                             parse_scalar, solve_linear)
+from perigraph.geometry import _span_frame
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
 
@@ -164,3 +165,82 @@ def test_det_and_rank_match_sympy_on_int_matrices(m):
     assert matrix_rank(m[:-1]) == sympy.Matrix(m[:-1]).rank()
     sol = solve_linear(m, [1] * len(m))
     assert sol is None or all(_exact_type(x) for x in sol)
+
+
+# -- the one elimination against sympy ---------------------------------
+
+
+@st.composite
+def rect_int_matrices(draw):
+    """Int matrices of 0-5 rows and 1-5 columns, half of them of deficient
+    rank (a product of rows x r and r x cols factors, r < min(rows, cols))."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    if rows == 0 or draw(st.booleans()):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows)), cols
+    r = draw(st.integers(0, min(rows, cols) - 1))
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                      min_size=rows, max_size=rows))
+    c = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=r, max_size=r))
+    return [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(cols)]
+            for i in range(rows)], cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rect_int_matrices())
+def test_eliminate_matches_sympy(case):
+    v, n = case
+    ref = sympy.Matrix(len(v), n, [x for r in v for x in r])
+    pivots, m, d, sign = eliminate(v, n)
+    assert tuple(pivots) == ref.rref()[1]
+    assert matrix_rank(v) == len(pivots) == ref.rank()
+    # row t is d at pivot t and 0 at the other pivots; rows past the rank
+    # are zero
+    for t, row in enumerate(m):
+        if t < len(pivots):
+            assert [row[c] for c in pivots] == [d * (c == pivots[t])
+                                                for c in pivots]
+        else:
+            assert row == [0] * n
+    if len(v) == n:
+        assert det(v) == ref.det() and type(det(v)) is int
+    if len(v) == n == ref.rank():
+        # on [V | I] the right block is d V^-1, sign times the adjugate
+        _, m, _, sign = eliminate([r + [int(i == j) for j in range(n)]
+                                   for i, r in enumerate(v)], n)
+        assert [[sign * x for x in r[n:]] for r in m] == \
+            ref.adjugate().tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rect_int_matrices())
+def test_span_frame_equalities_are_primitive_null_rows(case):
+    v, n = case
+    independent = [v[i] for i in eliminate([list(c) for c in zip(*v)],
+                                           len(v))[0]]
+    sel, _, equalities, _ = _span_frame(independent, n)
+    assert sel == sympy.Matrix(len(v), n, [x for r in v for x in r]
+                               ).rref()[1]
+    assert len(equalities) == n - len(sel)
+    free = [c for c in range(n) if c not in sel]
+    for c, e in zip(free, equalities):
+        assert all(sum(a * x for a, x in zip(r, e)) == 0 for r in v)
+        assert math.gcd(*e) == 1 and e[c] > 0
+        assert all(x == 0 for j, x in enumerate(e) if j not in sel + (c,))
+
+
+def test_eliminate_keeps_exact_types():
+    half = Fraction(1, 2)
+    root = QuadExt(2, 0, 1)
+    for rows in ([[1, half, 3], [2, 1, 7]], [[1, 2], [3, root]],
+                 [[root, 0, 1], [0, 1, root], [1, 1, 1]]):
+        _, m, d, _ = eliminate(rows, len(rows[0]))
+        assert all(type(x) in (Fraction, QuadExt) for r in m for x in r)
+        assert type(d) in (Fraction, QuadExt)
+        sol = solve_linear(rows, [1] * len(rows))
+        assert sol is not None
+        assert all(type(x) in (Fraction, QuadExt) for x in sol)
+    assert det([[1, 2], [3, root]]) == root - 6
+    assert det([]) == 1 and type(det([])) is int

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -292,6 +292,29 @@ def test_half_open_region_rejects_bad_frames():
                        (F(1), F(1)))
     with pytest.raises(ValueError):
         HalfOpenRegion((F(0), F(0)), ((F(1), F(0)),), (F(0),))
+
+
+def _combinations_sel(vectors, n):
+    """The first k coordinates, in the order of ``combinations``, on which k
+    vectors have a nonzero determinant: the rule _span_frame's pivots
+    replace."""
+    k = len(vectors)
+    return next(sel for sel in combinations(range(n), k)
+                if _fraction_det([[v[c] for c in sel] for v in vectors]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3)]),
+             min_size=n, max_size=n), min_size=0, max_size=n))))
+def test_span_frame_sel_is_first_nonzero_minor(case):
+    n, vectors = case
+    assume(matrix_rank(vectors) == len(vectors))
+    sel, _, _, D = geometry._span_frame(vectors, n)
+    assert sel == _combinations_sel(vectors, n)
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    assert D == abs(det([[v[c] for c in sel] for v in vectors])) * den ** len(
+        vectors)
 
 
 def _fraction_det(m):

@@ -187,6 +187,8 @@ def test_cli_errors(capsys, tmp_path):
     ["ehrhart", "square.poly", "--terms", "0"],
     ["ehrhart", "square.poly", "--terms", "-3"],
     ["series", "z2.net", "--terms", "0"],
+    ["series", "z2.net", "--terms", "12", "--guard", "-5"],
+    ["series", "z2.net", "--guard", "0"],
 ])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     for name, text in (("no_rank.poly", NO_RANK_POLY),

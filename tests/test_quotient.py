@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from perigraph.quotient import (EdgeRecord, GraphError, QuotientGraph,
-                                ResourceLimit, Vertex, Walk, _frame, _shells,
-                                ball, closed_walk_vector, cumulative,
-                                distance, growth_sequence,
-                                is_strongly_connected, lattice_index,
-                                quotient_strongly_connected, validate)
+                                ResourceLimit, Vertex, _frame, _shells, ball,
+                                closed_walk_vector, cumulative, distance,
+                                growth_sequence, is_strongly_connected,
+                                lattice_index, quotient_strongly_connected,
+                                validate)
 
 
 def loop_graph(vectors, rank, weights=None):
@@ -169,10 +169,6 @@ def test_walk_and_closed_walk_vector(wakatsuki):
     assert closed_walk_vector(wakatsuki, (e1, e5)) == (0, 0)
     e0 = idx[(0, 1, (0, 0))]
     assert closed_walk_vector(wakatsuki, (e5, e0)) == (1, 0)
-    w = Walk(wakatsuki, wakatsuki.vertex("v0"), (e1, e5))
-    assert w.weight == 2
-    assert w.end() == wakatsuki.vertex("v0")
-    assert w.class_support() == frozenset({0, 1})
     with pytest.raises(GraphError):
         closed_walk_vector(wakatsuki, (e1, e1))  # not consecutive
     with pytest.raises(GraphError):

@@ -70,6 +70,12 @@ def test_fit_rejects_wrong_denominator():
         fit_rational(terms, one(1), guard=8)
 
 
+def test_rational_from_terms_rejects_negative_guard():
+    # a cutoff past the last term would check nothing
+    with pytest.raises(FitError):
+        rational_from_terms([1] * 12, one(1), guard=-5)
+
+
 def test_rational_from_terms_improper():
     # t^3 + 1/(1-t) has numerator degree above the denominator
     terms = [1, 1, 1, 2] + [1] * 16
