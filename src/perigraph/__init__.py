@@ -13,9 +13,8 @@ from .ehrhart import (count, count_interior, fit_shifted_qp, gamma_q,
                       interior_shell_check, is_reflexive, lattice_points_of,
                       minimal_dilation, shifted_count, verify_reciprocity)
 from .field import QuadExt, exact_ceil, exact_floor, format_scalar, parse_scalar
-from .geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
-                       convex_hull, gauge, origin_interior, triangulate_facet,
-                       volume)
+from .geometry import (HalfOpenRegion, Polytope, convex_hull, gauge,
+                       origin_interior, triangulate_facet, volume)
 from .invariants import (AsymptoticConstants, WellArrangedResult,
                          alpha_ehrhart_window, asymptotic_constants, c1, c2,
                          c2_support, support_distance, verify_alpha_ehrhart,

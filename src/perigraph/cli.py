@@ -20,7 +20,7 @@ from . import ehrhart as _ehrhart
 from . import invariants as _inv
 from . import series as _series
 from .field import format_scalar
-from .geometry import LowerDimensionalHull, convex_hull, volume
+from .geometry import convex_hull, volume
 from .netfile import FormatError, emit_net, parse_net, parse_polytope
 from .quotient import (GraphError, QuotientGraph, ResourceLimit, cumulative,
                        growth_sequence, is_strongly_connected)
@@ -62,7 +62,10 @@ def _start_vertex(graph, args):
     offset = None
     if ":" in name:
         name, off = name.split(":", 1)
-        offset = tuple(int(x) for x in off.split(","))
+        try:
+            offset = tuple(int(x) for x in off.split(","))
+        except ValueError:
+            raise CliError(f"--start offset {off!r} must be integers") from None
         if len(offset) != graph.rank:
             raise CliError(f"start offset {off!r} needs {graph.rank} "
                            f"coordinates")
@@ -127,9 +130,9 @@ def _svg_points_polygons(groups, size=420):
 def _hull_outline_2d(points):
     """Boundary vertices of the 2D hull in cyclic order (for drawing)."""
     hull = convex_hull(points)
-    if isinstance(hull, LowerDimensionalHull):
-        return list(hull.vertices)
     verts = list(hull.vertices)
+    if hull.dim < 2:
+        return verts
     cx = sum(v[0] for v in verts) / len(verts)
     cy = sum(v[1] for v in verts) / len(verts)
     import math
@@ -189,22 +192,18 @@ def cmd_growth(args):
 
 def cmd_polytope(args):
     graph = _load_graph(args)
-    cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
-    poly = _cycles.growth_polytope(graph, cycles=cyc)
-    report = {"graph": graph.name, "cycles": len(cyc)}
-    if isinstance(poly, LowerDimensionalHull):
-        report["dimension"] = poly.dim
-        report["full_dimensional"] = False
-        report["vertices"] = [tuple(map(str, v)) for v in poly.vertices]
-    else:
-        report["dimension"] = poly.ambient_dim
-        report["full_dimensional"] = True
-        report["vertices"] = [tuple(map(str, v)) for v in poly.vertices]
+    poly = _cycles.growth_polytope(graph, args.max_cycles)
+    full = poly.dim == poly.ambient_dim
+    report = {"graph": graph.name,
+              "cycles": len(_cycles.enumerate_cycles(graph, args.max_cycles)),
+              "dimension": poly.dim, "full_dimensional": full,
+              "vertices": [tuple(map(str, v)) for v in poly.vertices]}
+    if full:
         report["facets"] = [f"{list(a)} <= {b}" for a, b in poly.facets]
         report["volume"] = str(volume(poly))
     _emit(report, args)
     if args.plot:
-        nu_points = sorted({c.nu() for c in cyc})
+        nu_points = sorted(_cycles.nu_image(graph, args.max_cycles))
         emit_plot("nu_image", (nu_points, list(poly.vertices)), args.plot)
     return 0
 
@@ -212,9 +211,8 @@ def cmd_polytope(args):
 def cmd_invariants(args):
     graph = _load_graph(args)
     x0 = _start_vertex(graph, args)
-    cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
-    ac = _inv.asymptotic_constants(graph, x0, cycles=cyc,
-                                   max_states=args.max_states)
+    ac = _inv.asymptotic_constants(graph, x0, args.max_states,
+                                   args.max_cycles)
     report = {
         "graph": graph.name,
         "start": graph.class_names[x0.cls],
@@ -237,9 +235,8 @@ def cmd_invariants(args):
 def cmd_wellarranged(args):
     graph = _load_graph(args)
     x0 = _start_vertex(graph, args)
-    cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
-    result = _inv.well_arranged(graph, x0, cycles=cyc,
-                                max_states=args.max_states)
+    result = _inv.well_arranged(graph, x0, max_states=args.max_states,
+                                max_cycles=args.max_cycles)
     report = {
         "graph": graph.name,
         "start": graph.class_names[x0.cls],
@@ -264,19 +261,14 @@ def cmd_series(args):
         den = IntPolynomial([_rational(x) for x in args.denominator.split()])
         report["denominator_source"] = "given"
     else:
-        cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
-        result = _inv.well_arranged(graph, x0, cycles=cyc,
-                                    max_states=args.max_states)
+        result = _inv.well_arranged(graph, x0, max_states=args.max_states,
+                                    max_cycles=args.max_cycles)
         report["well_arranged"] = result.status
         if result.status == "well-arranged":
             den = _series.wa_denominator(result)
             report["denominator_source"] = "well-arranged witness"
         else:
-            pdata = result.pdata
-            if pdata is None:  # well_arranged refused a directed graph first
-                poly = _cycles.growth_polytope(graph, cycles=cyc)
-                pdata = _cycles.p_initial_data(graph, x0.cls, cycles=cyc,
-                                               polytope=poly)
+            pdata = _cycles.p_initial_data(graph, x0.cls, args.max_cycles)
             if not pdata.is_p_initial:
                 raise CliError("start vertex is not P-initial and no "
                                "denominator was given")
@@ -301,8 +293,7 @@ def cmd_series(args):
 
 def cmd_density(args):
     graph = _load_graph(args)
-    cyc = _cycles.enumerate_cycles(graph, max_cycles=args.max_cycles)
-    d = _series.topological_density(graph, cycles=cyc)
+    d = _series.topological_density(graph, args.max_cycles)
     _emit({"graph": graph.name, "density": str(d),
            "density_float": float(d)}, args)
     return 0

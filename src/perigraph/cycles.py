@@ -4,15 +4,19 @@ A cycle is a closed edge walk whose intermediate target classes are
 pairwise distinct, taken up to rotation; loops are length-1 cycles and
 parallel edges give distinct cycles.  The normalization nu(q) divides the
 translation vector of q by its weight; the growth polytope is the convex
-hull of the nu image together with the origin.
+hull of the nu image together with the origin.  Each graph object lists
+its cycles, their nu image and its growth polytope once (``_data``); every
+later call reads them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .geometry import convex_hull
+from .geometry import Polytope, convex_hull
 from .quotient import QuotientGraph, ResourceLimit, closed_walk_vector
 
 
@@ -27,7 +31,7 @@ class Cycle:
         return tuple(Fraction(x, self.weight) for x in self.vector)
 
 
-def enumerate_cycles(graph: QuotientGraph, max_cycles=1_000_000):
+def _enumerate(graph: QuotientGraph, max_cycles):
     """All cycles up to rotation.
 
     Each cycle visits pairwise distinct classes, so it has a unique rotation
@@ -62,31 +66,55 @@ def enumerate_cycles(graph: QuotientGraph, max_cycles=1_000_000):
     return cycles
 
 
+class CycleData(NamedTuple):
+    """What a graph's cycles determine, listed once per graph object."""
+
+    cycles: tuple            # by length, then edge indices
+    image: MappingProxyType  # nu point -> the cycles attaining it, by weight
+    polytope: Polytope
+
+
+def _data(graph: QuotientGraph, max_cycles) -> CycleData:
+    """The graph's CycleData, kept in its ``_cycle_data`` slot after the
+    first enumeration within budget.  A graph with more than max_cycles
+    cycles raises ResourceLimit, whether its cycles are listed yet or not."""
+    data = graph._cycle_data
+    if data is None:
+        cycles = tuple(_enumerate(graph, max_cycles))
+        image = {}
+        for c in sorted(cycles, key=lambda c: (c.weight, c.edge_indices)):
+            image.setdefault(c.nu(), []).append(c)
+        origin = tuple(Fraction(0) for _ in range(graph.rank))
+        polytope = convex_hull([*image, origin])
+        image = MappingProxyType({v: tuple(r) for v, r in image.items()})
+        data = CycleData(cycles, image, polytope)
+        object.__setattr__(graph, "_cycle_data", data)
+    elif len(data.cycles) > max_cycles:
+        raise ResourceLimit(f"cycle enumeration exceeded {max_cycles} cycles")
+    return data
+
+
+def enumerate_cycles(graph: QuotientGraph, max_cycles=1_000_000) -> tuple:
+    """All cycles up to rotation, shortest first."""
+    return _data(graph, max_cycles).cycles
+
+
 def nu(graph: QuotientGraph, edge_indices) -> tuple:
     vec = closed_walk_vector(graph, edge_indices)
     w = sum(graph.edges[i].weight for i in edge_indices)
     return tuple(Fraction(x, w) for x in vec)
 
 
-def nu_image(graph: QuotientGraph, cycles=None, max_cycles=1_000_000):
-    """Map nu point -> list of cycles attaining it (sorted by weight)."""
-    if cycles is None:
-        cycles = enumerate_cycles(graph, max_cycles=max_cycles)
-    image = {}
-    for c in cycles:
-        image.setdefault(c.nu(), []).append(c)
-    for lst in image.values():
-        lst.sort(key=lambda c: (c.weight, c.edge_indices))
-    return image
+def nu_image(graph: QuotientGraph,
+             max_cycles=1_000_000) -> MappingProxyType:
+    """Read-only map nu point -> tuple of cycles attaining it (sorted by
+    weight)."""
+    return _data(graph, max_cycles).image
 
 
-def growth_polytope(graph: QuotientGraph, cycles=None, max_cycles=1_000_000):
+def growth_polytope(graph: QuotientGraph, max_cycles=1_000_000) -> Polytope:
     """conv(nu image together with the origin); may be lower-dimensional."""
-    if cycles is None:
-        cycles = enumerate_cycles(graph, max_cycles=max_cycles)
-    points = [c.nu() for c in cycles]
-    points.append(tuple(Fraction(0) for _ in range(graph.rank)))
-    return convex_hull(points)
+    return _data(graph, max_cycles).polytope
 
 
 @dataclass(frozen=True)
@@ -107,13 +135,9 @@ class PInitialData:
         return not self.missing
 
 
-def p_initial_data(graph: QuotientGraph, cls: int, cycles=None,
-                   polytope=None, max_cycles=1_000_000) -> PInitialData:
-    if cycles is None:
-        cycles = enumerate_cycles(graph, max_cycles=max_cycles)
-    if polytope is None:
-        polytope = growth_polytope(graph, cycles=cycles)
-    image = nu_image(graph, cycles=cycles)
+def p_initial_data(graph: QuotientGraph, cls: int,
+                   max_cycles=1_000_000) -> PInitialData:
+    _, image, polytope = _data(graph, max_cycles)
     origin = tuple(Fraction(0) for _ in range(graph.rank))
     witnesses, missing = {}, []
     for v in polytope.vertices:
@@ -131,5 +155,5 @@ def p_initial_data(graph: QuotientGraph, cls: int, cycles=None,
     return PInitialData(cls, witnesses, tuple(missing))
 
 
-def p_initial(graph: QuotientGraph, cls: int, **kw) -> bool:
-    return p_initial_data(graph, cls, **kw).is_p_initial
+def p_initial(graph: QuotientGraph, cls: int, max_cycles=1_000_000) -> bool:
+    return p_initial_data(graph, cls, max_cycles).is_p_initial

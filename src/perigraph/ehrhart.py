@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .geometry import LowerDimensionalHull, lattice_scan, origin_interior, vdot
+from .geometry import lattice_scan, origin_interior, vdot
 from .quotient import EdgeRecord, QuotientGraph, ResourceLimit
 from .series import QuasiPolynomial, fit_quasi_polynomial
 
@@ -105,8 +105,6 @@ def verify_reciprocity(P, v, alpha, qp=None, imax=6) -> bool:
 
 def is_reflexive(P) -> bool:
     """Origin interior and every facet of the form a.x <= 1 with integral a."""
-    if isinstance(P, LowerDimensionalHull):
-        return False
     return origin_interior(P) and all(b == 1 for _, b in P.facets)
 
 

@@ -83,18 +83,22 @@ def cross_normal(vectors, n):
 
 @dataclass(frozen=True)
 class Polytope:
-    """Full-dimensional rational polytope: vertices plus facets a.x <= b."""
+    """Rational polytope of dimension ``dim`` in R^ambient_dim: the points x
+    with e.x == f for every equality and a.x <= b for every facet, each row
+    a primitive int normal with a Fraction right side.  A full-dimensional
+    polytope has no equalities."""
 
     ambient_dim: int
+    dim: int
     vertices: tuple          # sorted tuples of Fractions
-    facets: tuple            # (primitive int normal, Fraction rhs)
-    equalities = ()          # none: the affine hull is the whole space
-
-    @property
-    def dim(self):
-        return self.ambient_dim
+    equalities: tuple        # (e, f): the affine hull
+    facets: tuple            # (a, b)
 
     def contains(self, point, strict=False):
+        """Membership, of the relative interior when strict; a point is its
+        own relative interior."""
+        if any(scalar_sign(vdot(e, point) - f) for e, f in self.equalities):
+            return False
         for a, b in self.facets:
             s = scalar_sign(vdot(a, point) - b)
             if s > 0 or (strict and s == 0):
@@ -104,35 +108,6 @@ class Polytope:
     def facet_vertices(self, facet_index):
         a, b = self.facets[facet_index]
         return tuple(v for v in self.vertices if vdot(a, v) == b)
-
-
-@dataclass(frozen=True)
-class LowerDimensionalHull:
-    """Hull of points whose affine span is a proper subspace.
-
-    The projection onto the coordinates ``coords`` is one-to-one on the
-    affine hull; ``hull`` is the full-dimensional polytope of the projected
-    points.  ``equalities``/``facets`` are the ambient H-representation
-    (e.x = f, a.x <= b), each row a primitive int normal with a Fraction
-    right side, as in ``Polytope.facets``.
-    """
-
-    ambient_dim: int
-    dim: int
-    coords: tuple            # the projected coordinates, increasing
-    hull: Polytope | None    # None when dim == 0
-    vertices: tuple          # ambient coordinates
-    equalities: tuple
-    facets: tuple
-
-    facet_vertices = Polytope.facet_vertices
-
-    def contains(self, point, strict=False):
-        if any(scalar_sign(vdot(e, point) - f) for e, f in self.equalities):
-            return False
-        # on the span, test the projection; a point is its own relint
-        return self.dim == 0 or self.hull.contains(
-            tuple(point[c] for c in self.coords), strict=strict)
 
 
 def _full_dim_hull(points, scaled, L, simplex):
@@ -181,7 +156,7 @@ def _full_dim_hull(points, scaled, L, simplex):
     verts = [points[i] for i in {i for idx in facets for i in idx}
              if len(eliminate([a for a, b in facet_list
                                if vdot(a, scaled[i]) == b], n)[0]) == n]
-    return Polytope(n, tuple(sorted(verts)),
+    return Polytope(n, n, tuple(sorted(verts)), (),
                     tuple((a, Fraction(b, L)) for a, b in facet_list))
 
 
@@ -215,7 +190,7 @@ def _span_frame(vectors, n):
 
 
 def convex_hull(points):
-    """Exact convex hull; returns a Polytope or a LowerDimensionalHull.
+    """Exact convex hull, a Polytope whose dim may be below ambient_dim.
 
     The points are scaled by one common denominator L to ints, and one
     elimination (``eliminate``) of the transpose of their differences from
@@ -242,21 +217,19 @@ def convex_hull(points):
     sel, _, eq_rows, _ = _span_frame([diffs[i] for i in picked], n)
     equalities = tuple((e, Fraction(vdot(e, base))) for e in eq_rows)
     if rank == 0:
-        return LowerDimensionalHull(n, 0, (), None, (base,), equalities, ())
+        return Polytope(n, 0, (base,), equalities, ())
     proj = [tuple(p[c] for c in sel) for p in pts]
     sub = _full_dim_hull(proj, [tuple(p[c] for c in sel) for p in scaled], L,
                          simplex)
     by_coords = dict(zip(proj, pts))
     verts = tuple(sorted(by_coords[y] for y in sub.vertices))
     facets = tuple((_spread(sel, a, n), b) for a, b in sub.facets)
-    return LowerDimensionalHull(n, rank, sel, sub, verts, equalities, facets)
+    return Polytope(n, rank, verts, equalities, facets)
 
 
 def origin_interior(poly) -> bool:
-    """Is the origin in the interior of a full-dimensional polytope?"""
-    if isinstance(poly, LowerDimensionalHull):
-        return False
-    return all(b > 0 for _, b in poly.facets)
+    """Is the origin in the interior of the polytope?"""
+    return not poly.equalities and all(b > 0 for _, b in poly.facets)
 
 
 def gauge(poly: Polytope, y):

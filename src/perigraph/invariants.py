@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cycles import enumerate_cycles, growth_polytope, nu_image, p_initial_data
+from .cycles import growth_polytope, nu_image, p_initial, p_initial_data
 from .ehrhart import count
 from .field import scalar_sign
-from .geometry import (HalfOpenRegion, LowerDimensionalHull, gauge,
-                       origin_interior, triangulate_facet, vadd, vscale, vsub)
+from .geometry import (HalfOpenRegion, gauge, origin_interior,
+                       triangulate_facet, vadd, vscale, vsub)
 from .quotient import (EdgeRecord, GraphError, QuotientGraph, Vertex, ball,
                        cumulative, growth_sequence, is_strongly_connected,
                        reachable_classes)
@@ -62,12 +62,12 @@ def _distances_to(graph: QuotientGraph, x0: Vertex, targets, max_states):
     return dist
 
 
-def c1(graph: QuotientGraph, x0: Vertex, polytope=None, max_states=10_000_000):
+def c1(graph: QuotientGraph, x0: Vertex, max_states=10_000_000,
+       max_cycles=1_000_000):
     """Exact value of sup_y (gauge(Phi(y) - Phi(x0)) - d(x0, y))."""
     _require_realization(graph)
-    if polytope is None:
-        polytope = growth_polytope(graph)
-    if isinstance(polytope, LowerDimensionalHull):
+    polytope = growth_polytope(graph, max_cycles)
+    if polytope.dim < polytope.ambient_dim:
         raise GraphError("growth polytope is lower-dimensional")
     c = graph.num_classes
     targets = edge_count_ball(graph, x0, c - 1, max_states=max_states)
@@ -84,13 +84,13 @@ def c1(graph: QuotientGraph, x0: Vertex, polytope=None, max_states=10_000_000):
     return best
 
 
-def _general_vertex_weights(graph, polytope, cycles):
+def _general_vertex_weights(graph, max_cycles):
     """For each nonzero polytope vertex: minimal weight of any cycle with
     that nu value (no class restriction)."""
-    image = nu_image(graph, cycles=cycles)
+    image = nu_image(graph, max_cycles)
     origin = tuple(Fraction(0) for _ in range(graph.rank))
     out = {}
-    for v in polytope.vertices:
+    for v in growth_polytope(graph, max_cycles).vertices:
         if v == origin:
             continue
         reps = image.get(v)
@@ -143,23 +143,17 @@ def _sup_over_regions(graph, x0, polytope, d_map, distances, best):
     return best
 
 
-def c2(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
-       max_states=10_000_000, pdata=None):
+def c2(graph: QuotientGraph, x0: Vertex, max_states=10_000_000,
+       max_cycles=1_000_000):
     """Exact sup of d(x0, y) - gauge over the half-open region; needs x0
-    P-initial.  ``pdata`` is x0's class ``p_initial_data`` when known."""
+    P-initial."""
     _require_realization(graph)
-    if cycles is None:
-        cycles = enumerate_cycles(graph)
-    if polytope is None:
-        polytope = growth_polytope(graph, cycles=cycles)
-    if pdata is None:
-        pdata = p_initial_data(graph, x0.cls, cycles=cycles,
-                               polytope=polytope)
+    pdata = p_initial_data(graph, x0.cls, max_cycles)
     if not pdata.is_p_initial:
         raise GraphError("c2 requires a P-initial start vertex")
     d_map = {v: w for v, (w, _) in pdata.witnesses.items()}
     return _sup_over_regions(
-        graph, x0, polytope, d_map,
+        graph, x0, growth_polytope(graph, max_cycles), d_map,
         lambda ys: _distances_to(graph, x0, ys, max_states), Fraction(0))
 
 
@@ -198,18 +192,14 @@ def support_distance(graph: QuotientGraph, x0: Vertex, targets,
     return {y: dist[v] for y, v in lifted.items()}
 
 
-def c2_support(graph: QuotientGraph, x0: Vertex, polytope=None, cycles=None,
-               max_states=10_000_000):
+def c2_support(graph: QuotientGraph, x0: Vertex, max_states=10_000_000,
+               max_cycles=1_000_000):
     """Support variant: sup of d'(x0, y) - gauge over the half-open region,
     with d_v taken from minimal-weight cycles regardless of class."""
     _require_realization(graph)
-    if cycles is None:
-        cycles = enumerate_cycles(graph)
-    if polytope is None:
-        polytope = growth_polytope(graph, cycles=cycles)
-    d_map = _general_vertex_weights(graph, polytope, cycles)
+    d_map = _general_vertex_weights(graph, max_cycles)
     return _sup_over_regions(
-        graph, x0, polytope, d_map,
+        graph, x0, growth_polytope(graph, max_cycles), d_map,
         lambda ys: support_distance(graph, x0, ys, max_states=max_states),
         None)
 
@@ -220,26 +210,21 @@ class AsymptoticConstants(NamedTuple):
     variant: str  # "p-initial" or "support"
 
 
-def asymptotic_constants(graph: QuotientGraph, x0: Vertex, cycles=None,
-                         max_states=10_000_000) -> AsymptoticConstants:
+def asymptotic_constants(graph: QuotientGraph, x0: Vertex,
+                         max_states=10_000_000,
+                         max_cycles=1_000_000) -> AsymptoticConstants:
     """(c1, c2) pair with d <= gauge + c2 and gauge - c1 <= d; uses the
     P-initial variant when available, the class-support variant otherwise.
     Raises GraphError unless the periodic graph is strongly connected."""
-    if cycles is None:
-        cycles = enumerate_cycles(graph)
-    polytope = growth_polytope(graph, cycles=cycles)
-    if not is_strongly_connected(graph, cycles=cycles, polytope=polytope):
+    if not is_strongly_connected(graph, max_cycles):
         raise GraphError("asymptotic constants need a strongly connected "
                          "periodic graph")
-    a = c1(graph, x0, polytope=polytope, max_states=max_states)
-    pdata = p_initial_data(graph, x0.cls, cycles=cycles, polytope=polytope)
-    if pdata.is_p_initial:
-        b = c2(graph, x0, polytope=polytope, cycles=cycles,
-               max_states=max_states, pdata=pdata)
-        return AsymptoticConstants(a, b, "p-initial")
-    b = c2_support(graph, x0, polytope=polytope, cycles=cycles,
-                   max_states=max_states)
-    return AsymptoticConstants(a, b, "support")
+    a = c1(graph, x0, max_states, max_cycles)
+    if p_initial(graph, x0.cls, max_cycles):
+        return AsymptoticConstants(a, c2(graph, x0, max_states, max_cycles),
+                                   "p-initial")
+    return AsymptoticConstants(
+        a, c2_support(graph, x0, max_states, max_cycles), "support")
 
 
 def alpha_ehrhart_window(c1_value, c2_value):
@@ -252,15 +237,14 @@ def alpha_ehrhart_window(c1_value, c2_value):
 
 
 def verify_alpha_ehrhart(graph: QuotientGraph, x0: Vertex, alpha, imax: int,
-                         polytope=None, max_states=10_000_000) -> bool:
+                         max_states=10_000_000, max_cycles=1_000_000) -> bool:
     """Check b_i == #{y : gauge(Phi(y) - Phi(x0)) <= i + alpha} for i<=imax.
 
     With the origin interior to P, gauge(delta + u) <= t exactly when u lies
     in -delta + t*P, so each class contributes one shifted Ehrhart count."""
     _require_realization(graph)
     alpha = Fraction(alpha)
-    if polytope is None:
-        polytope = growth_polytope(graph)
+    polytope = growth_polytope(graph, max_cycles)
     if not origin_interior(polytope):
         raise ValueError("the alpha-Ehrhart check requires the origin "
                          "interior to the growth polytope")
@@ -275,16 +259,16 @@ def verify_alpha_ehrhart(graph: QuotientGraph, x0: Vertex, alpha, imax: int,
 class WellArrangedResult:
     status: str              # "well-arranged" | "unknown" | "not-well-arranged"
     reason: str
-    d_map: dict | None       # vertex -> d_v of the witness (None otherwise)
-    apices: dict | None      # facet index -> fan apex
-    simplices: tuple | None  # all witness simplices (tuples of vertices)
-    polytope: object | None
-    multiple: int | None
-    pdata: object | None = None  # x0's class p_initial_data, once computed
+    # the witness; None unless the status is "well-arranged"
+    d_map: dict | None = None       # vertex -> d_v
+    apices: dict | None = None      # facet index -> fan apex
+    simplices: tuple | None = None  # all witness simplices (vertex tuples)
+    multiple: int | None = None
 
 
 def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
-                  max_states=10_000_000, cycles=None) -> WellArrangedResult:
+                  max_states=10_000_000,
+                  max_cycles=1_000_000) -> WellArrangedResult:
     """Search for well-arrangement data at x0.
 
     Semi-decision: a negative verdict is returned only with a proof (the
@@ -294,19 +278,15 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
     """
     _require_realization(graph)
     if not graph.undirected:
-        return WellArrangedResult("not-well-arranged", "graph is directed",
-                                  None, None, None, None, None)
-    if cycles is None:
-        cycles = enumerate_cycles(graph)
-    polytope = growth_polytope(graph, cycles=cycles)
-    if not is_strongly_connected(graph, cycles=cycles, polytope=polytope):
+        return WellArrangedResult("not-well-arranged", "graph is directed")
+    if not is_strongly_connected(graph, max_cycles):
         raise GraphError("well-arranged search needs a strongly connected graph")
-    pdata = p_initial_data(graph, x0.cls, cycles=cycles, polytope=polytope)
+    polytope = growth_polytope(graph, max_cycles)
+    pdata = p_initial_data(graph, x0.cls, max_cycles)
     if not pdata.is_p_initial:
         return WellArrangedResult(
             "not-well-arranged",
-            f"start vertex is not P-initial (unrealized: {pdata.missing})",
-            None, None, None, None, None, pdata)
+            f"start vertex is not P-initial (unrealized: {pdata.missing})")
     base_d = {v: w for v, (w, _) in pdata.witnesses.items()}
     fans = {}  # (facet, apex) -> fan; the same for every multiple
     reason = "candidate search exhausted"
@@ -340,10 +320,8 @@ def well_arranged(graph: QuotientGraph, x0: Vertex, max_multiple=4,
             all_simplices.extend(chosen[1])
         if ok:
             return WellArrangedResult("well-arranged", "witness found", d_map,
-                                      apices, tuple(all_simplices), polytope,
-                                      multiple, pdata)
-    return WellArrangedResult("unknown", reason, None, None, None, polytope,
-                              None, pdata)
+                                      apices, tuple(all_simplices), multiple)
+    return WellArrangedResult("unknown", reason)
 
 
 def _class_ball(graph, cls, radius, cache, max_states):

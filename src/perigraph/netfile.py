@@ -52,16 +52,16 @@ def _lines(text):
         yield lineno, key.strip(), value.strip()
 
 
-def _scalars(lineno, literals, parse):
-    """The exact values of a line's coordinate literals; FormatError naming
-    the line for a literal that does not parse or has a zero denominator."""
+def _scalars(lineno, literals, parse, what="coordinate"):
+    """The exact values of a line's literals (coordinates, or the integers
+    of a rank, vector or weight); FormatError naming the line for a literal
+    that does not parse or has a zero denominator."""
     values = []
     for text in literals:
         try:
             values.append(parse(text))
         except (ValueError, ZeroDivisionError):
-            raise FormatError(
-                f"line {lineno}: bad coordinate {text!r}") from None
+            raise FormatError(f"line {lineno}: bad {what} {text!r}") from None
     return tuple(values)
 
 
@@ -81,7 +81,7 @@ def parse_net(text: str) -> QuotientGraph:
         elif key == "name":
             name = value
         elif key == "rank":
-            rank = int(value)
+            rank, = _scalars(lineno, [value], int, "rank")
         elif key == "undirected":
             if value not in ("true", "false"):
                 raise FormatError(f"line {lineno}: undirected must be true/false")
@@ -101,8 +101,9 @@ def parse_net(text: str) -> QuotientGraph:
                     f"line {lineno}: edge needs src tgt {rank} vector "
                     f"components and a weight")
             edge_rows.append((lineno, parts[0], parts[1],
-                              tuple(int(x) for x in parts[2:2 + rank]),
-                              int(parts[-1])))
+                              _scalars(lineno, parts[2:-1], int,
+                                       "vector entry"),
+                              *_scalars(lineno, parts[-1:], int, "weight")))
         else:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
     if not fmt_seen:
@@ -173,7 +174,7 @@ def parse_polytope(text: str):
         elif key == "name":
             name = value
         elif key == "rank":
-            rank = int(value)
+            rank, = _scalars(lineno, [value], int, "rank")
         elif key == "vertex":
             verts.append((lineno, _scalars(lineno, value.split(), Fraction)))
         else:

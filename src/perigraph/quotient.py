@@ -47,6 +47,7 @@ class QuotientGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "_out", None)
+        object.__setattr__(self, "_cycle_data", None)  # see cycles._data
 
     @property
     def num_classes(self):
@@ -397,25 +398,18 @@ def lattice_index(vectors, n) -> int:
     return abs(d)
 
 
-def is_strongly_connected(graph: QuotientGraph, max_cycles=1_000_000,
-                          cycles=None, polytope=None) -> bool:
+def is_strongly_connected(graph: QuotientGraph, max_cycles=1_000_000) -> bool:
     """Strong connectivity of the periodic graph itself.
 
     Requires: strongly connected quotient, cycle vectors generating Z^rank
     as a group, and the origin interior to the growth polytope (equivalently,
     to the convex hull of the cycle vectors, which positively span the same
-    cone).  ``cycles`` and ``polytope`` may be passed in when already known.
+    cone).  The quotient is checked before any cycle is listed.
     """
     if not quotient_strongly_connected(graph):
         return False
     from .cycles import enumerate_cycles, growth_polytope  # cycles imports this module
-    from .geometry import LowerDimensionalHull, origin_interior
-    if cycles is None:
-        cycles = enumerate_cycles(graph, max_cycles=max_cycles)
-    if lattice_index(sorted({c.vector for c in cycles}), graph.rank) != 1:
-        return False
-    if polytope is None:
-        polytope = growth_polytope(graph, cycles=cycles)
-    if isinstance(polytope, LowerDimensionalHull):
-        return False
-    return origin_interior(polytope)
+    from .geometry import origin_interior
+    vectors = sorted({c.vector for c in enumerate_cycles(graph, max_cycles)})
+    return (lattice_index(vectors, graph.rank) == 1
+            and origin_interior(growth_polytope(graph, max_cycles)))

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .cycles import growth_polytope
+from .geometry import volume
+from .quotient import GraphError, is_strongly_connected
+
 
 class FitError(ValueError):
     pass
@@ -384,14 +388,14 @@ def wa_denominator(result) -> IntPolynomial:
     return out * (1 / out[0])
 
 
-def topological_density(graph, cycles=None):
-    """n * c * Vol_L(P_Gamma): the leading growth constant n*c*vol."""
-    from .cycles import growth_polytope
-    from .geometry import LowerDimensionalHull, volume
-    poly = growth_polytope(graph, cycles=cycles)
-    if isinstance(poly, LowerDimensionalHull):
-        raise ValueError("growth polytope is lower-dimensional")
-    return graph.rank * graph.num_classes * volume(poly)
+def topological_density(graph, max_cycles=1_000_000):
+    """n * c * Vol_L(P_Gamma): the leading growth constant n*c*vol.  Raises
+    GraphError unless the periodic graph is strongly connected."""
+    if not is_strongly_connected(graph, max_cycles):
+        raise GraphError("topological density needs a strongly connected "
+                         "periodic graph")
+    return (graph.rank * graph.num_classes
+            * volume(growth_polytope(graph, max_cycles)))
 
 
 def density_cross_check(qp_s: QuasiPolynomial, n: int):

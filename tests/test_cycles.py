@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
+import pytest
+
+from perigraph import cycles, load_net
 from perigraph.cycles import (enumerate_cycles, growth_polytope, nu, nu_image,
                               p_initial, p_initial_data)
-from perigraph.quotient import EdgeRecord, QuotientGraph
+from perigraph.quotient import EdgeRecord, QuotientGraph, ResourceLimit
 
 
 def canonical(edge_indices):
@@ -116,3 +120,37 @@ def test_p_initial_data_contents(wakatsuki):
         assert cyc.nu() == v
         assert 0 in cyc.classes
         assert cyc.weight == w
+
+
+def test_cycle_data_is_listed_once_and_read_only():
+    g = load_net("dia")
+    with mock.patch.object(cycles, "_enumerate",
+                           wraps=cycles._enumerate) as listing:
+        assert growth_polytope(g) is growth_polytope(g)
+        assert enumerate_cycles(g) is enumerate_cycles(g)
+        p_initial_data(g, 0)
+        assert listing.call_count == 1
+    assert isinstance(enumerate_cycles(g), tuple)
+    image = nu_image(g)
+    assert all(isinstance(reps, tuple) for reps in image.values())
+    with pytest.raises(TypeError):
+        image[(F(0),) * 3] = ()
+    # a graph object of its own lists again
+    assert growth_polytope(load_net("dia")) is not growth_polytope(g)
+
+
+def test_stored_cycles_keep_the_budget():
+    g = load_net("dia")
+    assert len(enumerate_cycles(g)) == 16
+    for call in (enumerate_cycles, growth_polytope, nu_image):
+        with pytest.raises(ResourceLimit,
+                           match="^cycle enumeration exceeded 15 cycles$"):
+            call(g, 15)
+    with pytest.raises(ResourceLimit, match="exceeded 15 cycles"):
+        p_initial_data(g, 0, 15)
+    assert len(enumerate_cycles(g, 16)) == 16
+    # a refused enumeration keeps nothing, and a larger budget lists again
+    h = load_net("dia")
+    with pytest.raises(ResourceLimit):
+        enumerate_cycles(h, 1)
+    assert enumerate_cycles(h) == enumerate_cycles(g)

@@ -13,10 +13,9 @@ from perigraph import geometry
 from perigraph.ehrhart import count, count_interior, lattice_points_of
 from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
                              solve_linear)
-from perigraph.geometry import (HalfOpenRegion, LowerDimensionalHull, Polytope,
-                                convex_hull, gauge, integer_box,
-                                origin_interior, triangulate_facet, vadd,
-                                volume)
+from perigraph.geometry import (HalfOpenRegion, Polytope, convex_hull, gauge,
+                                integer_box, origin_interior,
+                                triangulate_facet, vadd, volume)
 
 
 def primitive(vec):
@@ -49,8 +48,7 @@ def test_hull_square():
 def test_hull_lower_dimensional_segment():
     pts = [(F(0), F(0)), (F(1), F(2)), (F(2), F(4)), (F(1, 2), F(1))]
     h = convex_hull(pts)
-    assert isinstance(h, LowerDimensionalHull)
-    assert h.dim == 1
+    assert (h.ambient_dim, h.dim) == (2, 1)
     assert set(h.vertices) == {(F(0), F(0)), (F(2), F(4))}
     assert h.contains((F(1), F(2)))
     assert h.contains((F(1), F(2)), strict=True)
@@ -191,7 +189,7 @@ def test_hull_random_2d_matches_det_orientation_oracle():
         pts = [(F(rng.randint(-6, 6), rng.randint(1, 3)),
                 F(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(8)]
         h = convex_hull(pts)
-        if isinstance(h, LowerDimensionalHull):
+        if h.dim < 2:
             continue
         # every input point lies inside; every vertex is not a convex
         # combination witness violation of any facet
@@ -331,7 +329,7 @@ def _fraction_hull(points, n):
     if n == 1:
         lo, hi = min(points)[0], max(points)[0]
         verts = ((lo,),) if lo == hi else ((lo,), (hi,))
-        return Polytope(1, verts, (((1,), F(hi)), ((-1,), F(-lo))))
+        return Polytope(1, 1, verts, (), (((1,), F(hi)), ((-1,), F(-lo))))
     facets = {}
     for idx in combinations(range(len(points)), n):
         base = points[idx[0]]
@@ -355,7 +353,7 @@ def _fraction_hull(points, n):
              if sympy.Matrix([a for a, b in facet_list
                               if sum(x * y for x, y in zip(a, p)) == b]
                              or [[0] * n]).rank() == n]
-    return Polytope(n, tuple(sorted(verts)), tuple(facet_list))
+    return Polytope(n, n, tuple(sorted(verts)), (), tuple(facet_list))
 
 
 def _reference_hull(points, scaled, L, simplex):
@@ -397,15 +395,19 @@ def test_integer_hull_matches_fraction_hull(pts):
     with mock.patch.object(geometry, "_full_dim_hull", _reference_hull):
         reference = convex_hull(pts)
     assert hull == reference
-    # both hull types carry one H-representation: primitive int normals
-    # with Fraction right sides
+    # every hull carries one H-representation: primitive int normals with
+    # Fraction right sides
     rows = hull.equalities + hull.facets
     assert all(type(b) is F for _, b in rows)
     assert all(type(x) is int for a, _ in rows for x in a)
     assert all(gcd(*a) == 1 for a, _ in rows)
-    # each equality row is positive at its one coordinate outside coords
+    assert len(hull.equalities) == hull.ambient_dim - hull.dim
+    # the facet normals span the projected coordinates; each equality row is
+    # positive at its one coordinate outside them
+    coords = {c for a, _ in hull.facets for c, x in enumerate(a) if x}
+    assert len(coords) == hull.dim
     for e, _ in hull.equalities:
-        off = [c for c, x in enumerate(e) if x and c not in hull.coords]
+        off = [c for c, x in enumerate(e) if x and c not in coords]
         assert len(off) == 1 and e[off[0]] > 0
 
 
@@ -648,7 +650,7 @@ def test_lower_dimensional_hull_matches_embedded_hull(case):
     q, embed, v, off_axis = case
     hull, image = convex_hull(q), convex_hull([embed(p) for p in q])
     k = len(q[0])
-    assert isinstance(image, LowerDimensionalHull) and image.dim == k
+    assert image.dim == k < image.ambient_dim
     assert set(image.vertices) == {embed(w) for w in hull.vertices}
     for p in q:
         x = embed(p)

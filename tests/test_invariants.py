@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigraph import invariants, load_net, parse_net
-from perigraph.cycles import growth_polytope
+from perigraph.cycles import growth_polytope, p_initial_data
 from perigraph.geometry import volume
 from perigraph.field import QuadExt
-from perigraph.geometry import (HalfOpenRegion, convex_hull, gauge,
-                                integer_box, triangulate_facet, vadd, vsub)
+from perigraph.geometry import (HalfOpenRegion, gauge, integer_box,
+                                triangulate_facet, vadd, vsub)
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
                                   c1, c2, edge_count_ball, support_distance,
                                   verify_alpha_ehrhart, well_arranged)
@@ -76,8 +76,9 @@ def test_unknown_verdict_names_the_failing_facet(wakatsuki):
     x0 = origin(wakatsuki)
     result = well_arranged(wakatsuki, x0, max_multiple=2)
     assert result.status == "unknown"
-    poly = result.polytope
-    d_map = {v: 2 * w for v, (w, _) in result.pdata.witnesses.items()}
+    poly = growth_polytope(wakatsuki)
+    d_map = {v: 2 * w
+             for v, (w, _) in p_initial_data(wakatsuki, 0).witnesses.items()}
 
     def fan_passes(fi, apex):
         return all(invariants._wa_condition(wakatsuki, x0, d_map, simplex, {},
@@ -305,11 +306,12 @@ def test_two_class_irrational_constants_and_alpha_window():
     assert got == [False, True, False, True, False]
 
 
-def test_alpha_ehrhart_requires_origin_interior(z2):
-    off_center = convex_hull([(F(1), F(0)), (F(2), F(0)), (F(1), F(1)),
-                              (F(2), F(1))])
+def test_alpha_ehrhart_requires_origin_interior():
+    # the growth polytope conv(0, e1, e2) has the origin as a vertex
+    g = parse_net("format: pgnet/1\nrank: 2\nclass: o 0 0\n"
+                  "edge: o o 1 0 1\nedge: o o 0 1 1\n")
     with pytest.raises(ValueError, match="origin interior"):
-        verify_alpha_ehrhart(z2, origin(z2), F(-5), 3, polytope=off_center)
+        verify_alpha_ehrhart(g, origin(g), F(-5), 3)
 
 
 # -- invariance under a change of lattice basis --------------------------

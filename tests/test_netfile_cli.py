@@ -1,8 +1,10 @@
 import json
 import time
+from unittest import mock
 
 import pytest
 
+from perigraph import cycles
 from perigraph.cli import run_command
 from perigraph.data import fixture_path
 from perigraph.netfile import (FormatError, emit_net, emit_polytope,
@@ -47,6 +49,8 @@ def test_net_errors():
 NO_RANK_POLY = "format: pgpoly/1\nvertex: 0 0\nvertex: 1\nvertex: 0 1 2\n"
 ZERO_DEN_NET = "format: pgnet/1\nrank: 1\nclass: a 1/0\nedge: a a 1 1\n"
 ZERO_DEN_POLY = "format: pgpoly/1\nrank: 2\nvertex: 0 0\nvertex: 1/0 1\n"
+BAD_INT_NET = "format: pgnet/1\nrank: 1\nclass: a\nedge: a a x 1\n"
+BAD_RANK_POLY = "format: pgpoly/1\nrank: 2.0\nvertex: 0 0\n"
 HUGE_POLY = ("format: pgpoly/1\nrank: 2\nvertex: 99999999999/7 0\n"
              "vertex: 0 1\nvertex: 0 -1\nvertex: -1 0\n")
 
@@ -58,6 +62,17 @@ def test_zero_denominator_names_the_line():
         parse_net(ZERO_DEN_NET.replace("1/0", "1/2+1/0*sqrt(2)"))
     with pytest.raises(FormatError, match="line 4: bad coordinate '1/0'"):
         parse_polytope(ZERO_DEN_POLY)
+
+
+def test_integer_fields_name_the_line():
+    with pytest.raises(FormatError, match="^line 2: bad rank 'x'$"):
+        parse_net("format: pgnet/1\nrank: x\nclass: a\n")
+    with pytest.raises(FormatError, match="^line 4: bad vector entry 'x'$"):
+        parse_net(BAD_INT_NET)
+    with pytest.raises(FormatError, match="^line 4: bad weight '1/2'$"):
+        parse_net(BAD_INT_NET.replace("x 1", "1 1/2"))
+    with pytest.raises(FormatError, match="^line 2: bad rank '2.0'$"):
+        parse_polytope(BAD_RANK_POLY)
 
 
 def test_polytope_errors():
@@ -189,17 +204,31 @@ def test_cli_errors(capsys, tmp_path):
     ["series", "z2.net", "--terms", "0"],
     ["series", "z2.net", "--terms", "12", "--guard", "-5"],
     ["series", "z2.net", "--guard", "0"],
+    ["growth", "bad_int.net"],
+    ["ehrhart", "bad_rank.poly"],
+    ["growth", "z2.net", "--start", "o:1,x"],
 ])
 def test_cli_bad_input_exits_2(argv, tmp_path, capsys):
     for name, text in (("no_rank.poly", NO_RANK_POLY),
                        ("zero_den.net", ZERO_DEN_NET),
-                       ("zero_den.poly", ZERO_DEN_POLY)):
+                       ("zero_den.poly", ZERO_DEN_POLY),
+                       ("bad_int.net", BAD_INT_NET),
+                       ("bad_rank.poly", BAD_RANK_POLY)):
         (tmp_path / name).write_text(text)
     path = tmp_path / argv[1]
     if not path.exists():
         path = fixture_path(argv[1])
     assert run_command([argv[0], str(path), *argv[2:]]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "invalid literal" not in err
+
+
+def test_cli_bad_start_offset_names_the_flag(capsys):
+    assert run_command(["growth", str(fixture_path("z2.net")),
+                        "--start", "o:1,x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --start offset '1,x' must be integers\n")
 
 
 def test_cli_gammaq_budget_exits_2(tmp_path, capsys):
@@ -235,6 +264,74 @@ def test_cli_max_cycles_exits_2(command, capsys):
     assert run_command([command, str(fixture_path("dia.net")),
                         "--max-cycles", "1"]) == 2
     assert "cycle enumeration exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invariants", "series", "wellarranged"])
+def test_cli_lists_cycles_once(command, capsys):
+    with mock.patch.object(cycles, "_enumerate",
+                           wraps=cycles._enumerate) as listing:
+        assert run_command([command, str(fixture_path("dia.net"))]) == 0
+    assert listing.call_count == 1
+
+
+@pytest.mark.parametrize("command, name", [
+    ("polytope", "dia.net"), ("invariants", "dia.net"),
+    ("wellarranged", "dia.net"), ("series", "wakatsuki.net"),
+    ("density", "dia.net"), ("gammaq", "reflexive_triangle.poly")])
+def test_cli_max_cycles_reaches_every_listing(command, name, tmp_path,
+                                              capsys):
+    argv = [command, str(fixture_path(name)), "--max-cycles", "2000000"]
+    if command == "gammaq":
+        argv += ["-o", str(tmp_path / "g.net")]
+    with mock.patch.object(cycles, "_data", wraps=cycles._data) as data:
+        assert run_command(argv) == 0
+    assert data.call_count
+    assert {call.args[1] for call in data.call_args_list} == {2_000_000}
+
+
+# an undirected net whose quotient is disconnected, and one without a
+# realization; each has more than one cycle
+SPLIT_NET = ("format: pgnet/1\nrank: 1\nundirected: true\nclass: a 0\n"
+             "class: b 1/2\nedge: a a 1 1\nedge: b b 1 1\n")
+BARE_NET = ("format: pgnet/1\nrank: 2\nundirected: true\nclass: o\n"
+            "edge: o o 1 0 1\nedge: o o 0 1 1\n")
+
+
+@pytest.mark.parametrize("command, net, code, message", [
+    # a directed net has no well-arranged witness, whatever its cycles
+    ("wellarranged", "one_way", 1, "reason: graph is directed"),
+    # the quotient is checked before any cycle is listed
+    ("invariants", "one_way", 2, "asymptotic constants need a strongly"),
+    ("density", "one_way", 2, "topological density needs a strongly"),
+    ("wellarranged", "split", 2, "well-arranged search needs a strongly"),
+    ("series", "split", 2, "well-arranged search needs a strongly"),
+    # the well-arranged search asks for a realization first
+    ("wellarranged", "bare", 2, "this computation needs a realization"),
+    ("series", "bare", 2, "this computation needs a realization"),
+    # the cycle budget still comes first where no earlier check refuses
+    ("invariants", "bare", 2, "cycle enumeration exceeded 1 cycles"),
+    ("series", "one_way", 2, "cycle enumeration exceeded 1 cycles"),
+    ("polytope", "split", 2, "cycle enumeration exceeded 1 cycles"),
+])
+def test_cli_checks_before_the_cycle_budget(command, net, code, message,
+                                            tmp_path, capsys, one_way):
+    texts = {"one_way": emit_net(one_way), "split": SPLIT_NET,
+             "bare": BARE_NET}
+    path = tmp_path / f"{net}.net"
+    path.write_text(texts[net])
+    assert run_command([command, str(path), "--max-cycles", "1"]) == code
+    out = capsys.readouterr()
+    assert message in (out.out if code == 1 else out.err)
+
+
+def test_cli_density_not_strongly_connected(tmp_path, capsys, one_way):
+    net = tmp_path / "one_way.net"
+    net.write_text(emit_net(one_way))
+    assert run_command(["density", str(net)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: topological density needs a strongly "
+                       "connected periodic graph\n")
 
 
 def test_cli_shared_parser_keeps_defaults(capsys):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perigraph.invariants import well_arranged
-from perigraph.quotient import Vertex, cumulative, growth_sequence
+from perigraph.quotient import GraphError, Vertex, cumulative, growth_sequence
 from perigraph.series import (FitError, IntPolynomial, QuasiPolynomial,
                               RationalSeries, cumulative_series,
                               density_cross_check, fit_rational, interpolate,
@@ -110,6 +110,14 @@ def test_wakatsuki_v0_fit(wakatsuki):
     assert qp.constituents[1] == P((F(-1, 2), F(9, 2)))
     assert topological_density(wakatsuki) == F(9, 2)
     assert density_cross_check(qp, 2) == F(9, 2)
+
+
+def test_density_needs_strong_connectivity(one_way):
+    # growth from a is 4i, the density of a alone, and b only reaches a: the
+    # net has no density, although its polytope times n*c reads 8
+    assert growth_sequence(one_way, one_way.vertex("a"), 4) == [1, 4, 8, 12]
+    with pytest.raises(GraphError, match="strongly connected"):
+        topological_density(one_way)
 
 
 def test_wakatsuki_v2_improper(wakatsuki):
