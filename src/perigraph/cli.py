@@ -268,6 +268,10 @@ def cmd_series(args):
             den = _series.wa_denominator(result)
             report["denominator_source"] = "well-arranged witness"
         else:
+            # a directed net gets its verdict before any connectivity check
+            if not is_strongly_connected(graph, args.max_cycles):
+                raise GraphError("growth series needs a strongly connected "
+                                 "periodic graph")
             pdata = _cycles.p_initial_data(graph, x0.cls, args.max_cycles)
             if not pdata.is_p_initial:
                 raise CliError("start vertex is not P-initial and no "

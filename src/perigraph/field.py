@@ -261,6 +261,55 @@ def eliminate(rows, ncols):
     return pivots, m, d, sign
 
 
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def hermite(rows):
+    """Hermite normal form of the lattice spanned by int rows (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4): a basis of the
+    same row lattice in echelon form, as many rows as the rank, each row's
+    first nonzero entry (its pivot) positive and every entry above a pivot
+    in [0, pivot).  For rows of full rank n it is upper triangular, and the
+    product of its diagonal is the lattice's index in Z^n.
+
+    Column by column, unimodular 2 x 2 steps from the extended gcd fold
+    every lower row into the pivot row, and the pivot row then reduces the
+    rows above it.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    k = 0
+    for c in range(ncols):
+        if k == len(m):
+            break
+        for i in range(k + 1, len(m)):
+            b = m[i][c]
+            if b:
+                a = m[k][c]
+                g, x, y = _xgcd(a, b)
+                top, low = m[k], m[i]
+                m[k] = [x * s + y * t for s, t in zip(top, low)]
+                m[i] = [a // g * t - b // g * s for s, t in zip(top, low)]
+        p = m[k][c]
+        if not p:
+            continue
+        if p < 0:
+            m[k], p = [-x for x in m[k]], -p
+        for i in range(k):
+            f = m[i][c] // p
+            if f:
+                m[i] = [s - f * t for s, t in zip(m[i], m[k])]
+        k += 1
+    return [tuple(r) for r in m[:k]]
+
+
 def solve_linear(rows, rhs):
     """Solve A x = b exactly; return a solution list or None if inconsistent.
 
@@ -288,3 +337,61 @@ def det(rows):
     pivots, _, d, sign = eliminate(rows, len(rows))
     # below full rank, d - d is the zero of the input's scalar type
     return sign * d if len(pivots) == len(rows) else d - d
+
+
+def _spread(coords, values, n):
+    """The vector of R^n with ``values`` at ``coords`` and 0 elsewhere."""
+    vec = [0] * n
+    for c, x in zip(coords, values):
+        vec[c] = x
+    return tuple(vec)
+
+
+def _null_rows(pivots, m, d, n):
+    """(c, e) for each free column c < n of a matrix eliminated by
+    ``eliminate``: e is d at c and -m[t][c] at pivots[t], so m, and with it
+    the matrix, maps e to 0."""
+    for c in range(n):
+        if c not in pivots:
+            yield c, _spread([*pivots, c],
+                             [-r[c] for _, r in zip(pivots, m)] + [d], n)
+
+
+def cross_normal(vectors, n):
+    """Vector orthogonal to n-1 vectors in R^n: the generalized cross
+    product, (-1)^j times the determinant of the vectors without coordinate
+    j, read off their one null row; 0 when the vectors are dependent."""
+    pivots, m, d, sign = eliminate(vectors, n)
+    if len(pivots) < n - 1:
+        return (0,) * n
+    (c, row), = _null_rows(pivots, m, d, n)
+    return tuple(sign * (-1) ** c * x for x in row)
+
+
+def _span_frame(vectors, n):
+    """Integer frame of the span of k independent rational vectors in R^n:
+    (sel, forms, equalities, D).
+
+    With den the common denominator of the vectors and A the k x n int
+    matrix of rows den * vectors, one elimination (``eliminate``) of
+    [A | I_k] gives sel, the first k coordinates on which A is invertible
+    (the pivots), D = |d| = |det A_sel|, and d * A_sel^-1 on the right.  A
+    point x = sum_j lam_j vectors_j has lam_j = forms_j . x / D, form j being
+    den * sign(d) times column j of the right block, spread to sel.  A point
+    lies in the span iff e . x == 0 for each of the n - k equality rows: the
+    null rows of A, primitive and positive at their free column.
+    """
+    k = len(vectors)
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    sel, m, d, _ = eliminate([[int(x * den) for x in v] +
+                              [int(i == j) for j in range(k)]
+                              for i, v in enumerate(vectors)], n)
+    if len(sel) < k:
+        raise ValueError("span vectors must be independent")
+    s = den if d > 0 else -den
+    forms = [_spread(sel, [s * r[n + j] for r in m], n) for j in range(k)]
+    equalities = []
+    for _, row in _null_rows(sel, m, d, n):
+        g = math.gcd(*row) if d > 0 else -math.gcd(*row)
+        equalities.append(tuple(x // g for x in row))
+    return tuple(sel), forms, equalities, abs(d)

@@ -3,15 +3,13 @@
 Convex hulls are built by beneath-beyond (Clarkson & Shor 1989; the
 incremental step of Quickhull, Barber, Dobkin & Huhdanpaa 1996) on the
 points scaled to ints by one common denominator, so every predicate is
-exact and no epsilon is needed; the work grows with the facets the hull
-passes through, not with the n-subsets of the points.  Lower-dimensional
-hulls are first-class results carrying their affine hull: the points are
-projected onto coordinates that are independent on their span, hulled
-there, and the facets spread back.  Ranks, facet normals and span frames
-all come from one fraction-free elimination, ``field.eliminate``.  The
-integer span frame (``_span_frame``) also gives half-open regions their
-integer membership forms, and lattice-point scans test points with the
-same integer rows.
+exact and no epsilon is needed.  Lower-dimensional hulls carry their affine
+hull: the points are projected onto coordinates independent on their span,
+hulled there, and the facets spread back.  Ranks, normals and span frames
+come from the one elimination of ``field``.  Faces are read off a
+polytope's facet incidences; a half-open region lists its lattice points
+from the Hermite form of its generators, or scans its box with its integer
+membership forms.
 """
 
 from __future__ import annotations
@@ -21,12 +19,12 @@ from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .field import (QuadExt, det, eliminate, exact_ceil, exact_floor,
-                    scalar_sign)
+from .field import (QuadExt, _span_frame, _spread, cross_normal, det,
+                    eliminate, exact_ceil, exact_floor, hermite, scalar_sign)
 
 
 def vsub(p, q):
@@ -52,47 +50,20 @@ def _as_fractions(p):
     return tuple(Fraction(x) for x in p)
 
 
-def _spread(coords, values, n):
-    """The vector of R^n with ``values`` at ``coords`` and 0 elsewhere."""
-    vec = [0] * n
-    for c, x in zip(coords, values):
-        vec[c] = x
-    return tuple(vec)
-
-
-def _null_rows(pivots, m, d, n):
-    """(c, e) for each free column c < n of a matrix eliminated by
-    ``eliminate``: e is d at c and -m[t][c] at pivots[t], so m, and with it
-    the matrix, maps e to 0."""
-    for c in range(n):
-        if c not in pivots:
-            yield c, _spread([*pivots, c],
-                             [-r[c] for _, r in zip(pivots, m)] + [d], n)
-
-
-def cross_normal(vectors, n):
-    """Vector orthogonal to n-1 vectors in R^n: the generalized cross
-    product, (-1)^j times the determinant of the vectors without coordinate
-    j, read off their one null row; 0 when the vectors are dependent."""
-    pivots, m, d, sign = eliminate(vectors, n)
-    if len(pivots) < n - 1:
-        return (0,) * n
-    (c, row), = _null_rows(pivots, m, d, n)
-    return tuple(sign * (-1) ** c * x for x in row)
-
-
 @dataclass(frozen=True)
 class Polytope:
     """Rational polytope of dimension ``dim`` in R^ambient_dim: the points x
     with e.x == f for every equality and a.x <= b for every facet, each row
     a primitive int normal with a Fraction right side.  A full-dimensional
-    polytope has no equalities."""
+    polytope has no equalities.  Facet incidences are kept on first use."""
 
     ambient_dim: int
     dim: int
     vertices: tuple          # sorted tuples of Fractions
     equalities: tuple        # (e, f): the affine hull
     facets: tuple            # (a, b)
+    _masks: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def contains(self, point, strict=False):
         """Membership, of the relative interior when strict; a point is its
@@ -105,9 +76,20 @@ class Polytope:
                 return False
         return True
 
+    def _facet_masks(self):
+        """Per facet, the bit mask of its vertex indices: v is on a.x <= b
+        when a.(L v) == L b, L the vertices' common denominator."""
+        if self._masks is None:
+            L = lcm(*(x.denominator for v in self.vertices for x in v))
+            scaled = [tuple(int(x * L) for x in v) for v in self.vertices]
+            object.__setattr__(self, "_masks", tuple(
+                sum(1 << i for i, v in enumerate(scaled)
+                    if vdot(a, v) == b * L) for a, b in self.facets))
+        return self._masks
+
     def facet_vertices(self, facet_index):
-        a, b = self.facets[facet_index]
-        return tuple(v for v in self.vertices if vdot(a, v) == b)
+        mask = self._facet_masks()[facet_index]
+        return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
 
 def _full_dim_hull(points, scaled, L, simplex):
@@ -158,35 +140,6 @@ def _full_dim_hull(points, scaled, L, simplex):
                                if vdot(a, scaled[i]) == b], n)[0]) == n]
     return Polytope(n, n, tuple(sorted(verts)), (),
                     tuple((a, Fraction(b, L)) for a, b in facet_list))
-
-
-def _span_frame(vectors, n):
-    """Integer frame of the span of k independent rational vectors in R^n:
-    (sel, forms, equalities, D).
-
-    With den the common denominator of the vectors and A the k x n int
-    matrix of rows den * vectors, one elimination (``eliminate``) of
-    [A | I_k] gives sel, the first k coordinates on which A is invertible
-    (the pivots), D = |d| = |det A_sel|, and d * A_sel^-1 on the right.  A
-    point x = sum_j lam_j vectors_j has lam_j = forms_j . x / D, form j being
-    den * sign(d) times column j of the right block, spread to sel.  A point
-    lies in the span iff e . x == 0 for each of the n - k equality rows: the
-    null rows of A, primitive and positive at their free column.
-    """
-    k = len(vectors)
-    den = lcm(*(x.denominator for v in vectors for x in v))
-    sel, m, d, _ = eliminate([[int(x * den) for x in v] +
-                              [int(i == j) for j in range(k)]
-                              for i, v in enumerate(vectors)], n)
-    if len(sel) < k:
-        raise ValueError("span vectors must be independent")
-    s = den if d > 0 else -den
-    forms = [_spread(sel, [s * r[n + j] for r in m], n) for j in range(k)]
-    equalities = []
-    for _, row in _null_rows(sel, m, d, n):
-        g = gcd(*row) if d > 0 else -gcd(*row)
-        equalities.append(tuple(x // g for x in row))
-    return tuple(sel), forms, equalities, abs(d)
 
 
 def convex_hull(points):
@@ -244,48 +197,48 @@ def gauge(poly: Polytope, y):
     return best
 
 
-def _pull_triangulation(vertices, apex=None):
-    """Pulling triangulation of conv(vertices); simplices as vertex tuples.
-
-    ``vertices`` must be the vertex set of the polytope.  The apex defaults
-    to the lexicographically least vertex; sub-faces are pulled from their
-    own lex-min vertices, so the result is deterministic.
-    """
-    vertices = sorted(set(_as_fractions(v) for v in vertices))
-    if len(vertices) == 1:
-        return [tuple(vertices)]
-    hull = convex_hull(vertices)
-    if apex is None:
-        apex = min(vertices)
-    apex = _as_fractions(apex)
+def _pull_triangulation(masks, face, dim, apex):
+    """Pulling triangulation, as vertex masks, of the face with vertex mask
+    ``face`` and dimension ``dim`` from the vertex index ``apex``.  The
+    facets of a face are its maximal proper intersections with the facet
+    masks; each one without the apex is pulled from its least (lex-min)
+    vertex, and a face with dim + 1 vertices is a simplex."""
+    if face.bit_count() == dim + 1:
+        return [face]
+    cuts = {face & s for s in masks} - {face}
     simplices = []
-    for i in range(len(hull.facets)):
-        face = hull.facet_vertices(i)
-        if apex in face:
+    for sub in cuts:
+        if sub >> apex & 1 or any(sub != o and sub & o == sub for o in cuts):
             continue
-        for sub_simplex in _pull_triangulation(face):
-            simplices.append(tuple(sorted(sub_simplex + (apex,))))
+        simplices.extend(
+            s | 1 << apex for s in _pull_triangulation(
+                masks, sub, dim - 1, (sub & -sub).bit_length() - 1))
     return simplices
 
 
 def triangulate_facet(poly: Polytope, facet_index: int, apex=None):
-    """Fan triangulation of a facet from a chosen facet vertex."""
-    fverts = poly.facet_vertices(facet_index)
+    """Fan triangulation of a facet from a chosen facet vertex (default the
+    lex-min one), through faces read off the facet incidences; simplices as
+    sorted vertex tuples."""
+    masks = poly._facet_masks()
+    face = masks[facet_index]
     if apex is None:
-        apex = min(fverts)
-    apex = _as_fractions(apex)
-    if apex not in fverts:
-        raise ValueError("apex must be a vertex of the facet")
-    if len(fverts) == poly.ambient_dim:  # already a simplex
-        return [tuple(sorted(fverts))]
-    return _pull_triangulation(fverts, apex=apex)
+        index = (face & -face).bit_length() - 1
+    else:
+        apex = _as_fractions(apex)
+        index = next((i for i, v in enumerate(poly.vertices)
+                      if v == apex and face >> i & 1), None)
+        if index is None:
+            raise ValueError("apex must be a vertex of the facet")
+    return [tuple(v for i, v in enumerate(poly.vertices) if s >> i & 1)
+            for s in _pull_triangulation(masks, face, poly.dim - 1, index)]
 
 
 def volume(poly: Polytope):
     """Euclidean-lattice-normalized volume (sum of |det|/n!)."""
-    apex = min(poly.vertices)
+    apex = poly.vertices[0]
     total = sum(abs(det([vsub(v, apex) for v in simplex]))
-                for i, (a, b) in enumerate(poly.facets) if vdot(a, apex) != b
+                for i, mask in enumerate(poly._facet_masks()) if not mask & 1
                 for simplex in triangulate_facet(poly, i))
     return Fraction(total, factorial(poly.ambient_dim))
 
@@ -298,16 +251,22 @@ def _denominator(x) -> int:
 
 def _region_frame(n, generators, extents):
     """Integer tests for rel in R^n to be sum_j [0, extent_j) * gen_j: (forms,
-    equalities, D) with rel inside iff 0 <= form . rel < D for every form and
-    e . rel == 0 for every equality.
+    equalities, D, cells) with rel inside iff 0 <= form . rel < D for every
+    form and e . rel == 0 for every equality.
 
     The extents are folded into the generators, so the coefficients over the
     span frame of the folded generators (``_span_frame``) lie in [0, 1).
+    cells is (folded rows, diagonal of their Hermite form) when they are n
+    integral vectors, else None.
     """
     if any(Fraction(e) <= 0 for e in extents):
         raise ValueError("region extents must be positive")
     folded = [[Fraction(e) * x for x in g] for g, e in zip(generators, extents)]
-    return _span_frame(folded, n)[1:]
+    cells = None
+    if len(folded) == n and all(x.denominator == 1 for g in folded for x in g):
+        rows = [tuple(map(int, g)) for g in folded]
+        cells = rows, [r[i] for i, r in enumerate(hermite(rows))]
+    return (*_span_frame(folded, n)[1:], cells)
 
 
 @dataclass(frozen=True)
@@ -333,7 +292,7 @@ class HalfOpenRegion:
                                   self.extents))
 
     def _place(self, frame):
-        forms, equalities, bound = frame
+        forms, equalities, bound, _ = frame
         # q * base has integral rational parts: rational offsets are ints,
         # an irrational base (a QuadExt realization) keeps QuadExt offsets
         q = lcm(*(_denominator(x) for x in self.base))
@@ -373,10 +332,30 @@ class HalfOpenRegion:
                    if sum(map(mul, form, point)) != off)
 
     def integer_points(self):
-        """Integer points of the region in lexicographic order: for
-        integral u, 0 <= f.u - off < B reads f.u < off + B and
-        -f.u <= -off."""
+        """Integer points of the region in lexicographic order.
+
+        With n integral generators g_j (extents folded in) and a rational
+        base the region is a fundamental domain of their lattice G, one point
+        per class of Z^n / G (Beck & Robins, Computing the Continuous
+        Discretely, ch. 3).  The r with 0 <= r_i < H_ii, H the Hermite form
+        of G, are one of each class, and r - sum_j floor((f_j.r - off_j) / B)
+        g_j is its point.
+        Other regions scan their box: for integral u, 0 <= f.u - off < B
+        reads f.u < off + B and -f.u <= -off."""
         equalities, forms, bound = self._tests
+        cells = self._frame[3]
+        if cells and all(type(off) is int for _, off in forms):
+            gens, diag = cells
+            points = []
+            for r in product(*map(range, diag)):
+                p = list(r)
+                for (form, off), g in zip(forms, gens):
+                    k = (sum(map(mul, form, r)) - off) // bound
+                    if k:
+                        p = [x - k * y for x, y in zip(p, g)]
+                points.append(tuple(p))
+            points.sort()
+            return points
         ineqs = []
         for form, off in forms:
             ineqs.append((form, off + bound, True))

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
+
+from .field import hermite
 
 
 class Vertex(NamedTuple):
@@ -368,34 +371,10 @@ def quotient_strongly_connected(graph: QuotientGraph) -> bool:
 
 def lattice_index(vectors, n) -> int:
     """Index of the subgroup of Z^n generated by integer vectors (0 if not
-    finite index)."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for c in range(n):
-        # integer elimination by gcd steps in column c
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            while rows[i][c] != 0:
-                q = rows[rank][c] // rows[i][c]
-                rows[rank] = [a - q * b for a, b in zip(rows[rank], rows[i])]
-                rows[rank], rows[i] = rows[i], rows[rank]
-            # now rows[i][c] == 0
-        rank += 1
-        if rank == n:
-            break
-    if rank < n:
-        return 0
-    d = 1
-    for i in range(n):
-        d *= rows[i][i]
-    return abs(d)
+    finite index): |det| of their Hermite form, the product of its
+    diagonal."""
+    h = hermite(vectors)
+    return prod(row[i] for i, row in enumerate(h)) if len(h) == n else 0
 
 
 def is_strongly_connected(graph: QuotientGraph, max_cycles=1_000_000) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .cycles import growth_polytope
@@ -116,12 +117,6 @@ class IntPolynomial:
         if a.is_zero():
             return a
         return a * (1 / a.coeffs[-1])  # monic
-
-    def lcm(self, other):
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        g = self.gcd(other)
-        return (self * other).divmod(g)[0]
 
     def reversed(self, degree=None):
         """t^degree * p(1/t); degree defaults to deg p."""
@@ -374,18 +369,53 @@ def p_initial_denominator(d_map) -> IntPolynomial:
     return out
 
 
+def _int_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+@cache
+def _cyclotomic(k):
+    """Int coefficients of the k-th cyclotomic polynomial, lowest first:
+    t^k - 1 divided exactly by Phi_d for each proper divisor d of k."""
+    rem = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            phi = _cyclotomic(d)
+            # phi is monic: divide from the top down, keeping the quotient
+            m = len(phi) - 1
+            quot = [0] * (len(rem) - m)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c = rem[i + m]
+                for j, a in enumerate(phi):
+                    rem[i + j] -= c * a
+            rem = quot
+    return tuple(rem)
+
+
 def wa_denominator(result) -> IntPolynomial:
-    """LCM over witness simplices of prod_{v in V(Delta)} (1 - t^{d_v})."""
+    """LCM over witness simplices of prod_{v in V(Delta)} (1 - t^{d_v}).
+
+    1 - t^d is -1 times the product of the cyclotomic Phi_k over k | d, so
+    Phi_k enters the lcm as often as the most d_v of one simplex that k
+    divides; the product of those Phi_k is the monic lcm, and its sign is
+    fixed so that the constant term is +1."""
     if result.status != "well-arranged":
         raise ValueError("needs a well-arranged witness")
-    out = ONE
+    mult = {}
     for simplex in result.simplices:
-        prod = ONE
-        for v in simplex:
-            prod = prod * IntPolynomial.one_minus_power(result.d_map[v])
-        out = out.lcm(prod)
-    # the lcm comes out monic; rescale to constant term +1
-    return out * (1 / out[0])
+        ds = [result.d_map[v] for v in simplex]
+        for k in range(1, max(ds) + 1):
+            mult[k] = max(mult.get(k, 0), sum(d % k == 0 for d in ds))
+    out = [1]
+    for k, m in mult.items():
+        for _ in range(m):
+            out = _int_product(out, _cyclotomic(k))
+    return IntPolynomial(out if out[0] > 0 else [-x for x in out])
 
 
 def topological_density(graph, max_cycles=1_000_000):

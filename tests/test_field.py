@@ -5,10 +5,11 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form
 
 from perigraph.field import (QuadExt, det, eliminate, exact_ceil,
-                             exact_floor, format_scalar, matrix_rank,
-                             parse_scalar, solve_linear)
+                             exact_floor, format_scalar, hermite,
+                             matrix_rank, parse_scalar, solve_linear)
 from perigraph.geometry import _span_frame
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
@@ -244,3 +245,39 @@ def test_eliminate_keeps_exact_types():
         assert all(type(x) in (Fraction, QuadExt) for x in sol)
     assert det([[1, 2], [3, root]]) == root - 6
     assert det([]) == 1 and type(det([])) is int
+
+
+# -- the Hermite form against sympy ------------------------------------
+
+def _in_lattice(v, basis):
+    """Is v an integer combination of the independent rows of basis?"""
+    if not basis:
+        return not any(v)
+    sol = solve_linear([list(c) for c in zip(*basis)], list(v))
+    return sol is not None and all(x.denominator == 1 for x in sol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_hermite_matches_sympy(m, n, data):
+    rows = [tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n,
+                                     max_size=n))) for _ in range(m)]
+    if data.draw(st.booleans()):  # a dependent row
+        rows.append(tuple(2 * a - 3 * b for a, b in zip(rows[0], rows[-1])))
+    h = hermite(rows)
+    # sympy's form spans the columns; on the transpose its nonzero columns
+    # are a basis of the row lattice
+    ref = hermite_normal_form(sympy.Matrix(rows).T)
+    ref_rows = [tuple(int(x) for x in ref.col(j)) for j in range(ref.cols)]
+    assert len(h) == matrix_rank(rows) == len(ref_rows)
+    assert all(_in_lattice(r, ref_rows) for r in h)
+    assert all(_in_lattice(r, h) for r in ref_rows + rows)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in h]
+    assert pivots == sorted(set(pivots))
+    for t, (c, r) in enumerate(zip(pivots, h)):
+        assert r[c] > 0
+        assert all(0 <= h[i][c] < r[c] for i in range(t))
+    if len(h) == n:
+        assert math.prod(r[i] for i, r in enumerate(h)) == abs(
+            sympy.Matrix(h).det())
+    assert hermite(h) == h

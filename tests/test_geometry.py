@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perigraph import geometry
@@ -14,8 +14,8 @@ from perigraph.ehrhart import count, count_interior, lattice_points_of
 from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
                              solve_linear)
 from perigraph.geometry import (HalfOpenRegion, Polytope, convex_hull, gauge,
-                                integer_box, origin_interior,
-                                triangulate_facet, vadd, volume)
+                                integer_box, lattice_scan, origin_interior,
+                                triangulate_facet, vadd, vdot, volume, vsub)
 
 
 def primitive(vec):
@@ -664,3 +664,133 @@ def test_lower_dimensional_hull_matches_embedded_hull(case):
         assert count_interior(image, embed(v), t) == count_interior(hull, v, t)
         points = lattice_points_of(image, embed(v), t)
         assert points == sorted(embed(p) for p in lattice_points_of(hull, v, t))
+
+
+# -- triangulations from facet incidences, against hulls of every face ----
+
+def _hull_pull_triangulation(vertices, apex=None):
+    """Pulling triangulation that hulls every face again: the facets of
+    conv(vertices) without the apex, each pulled from its lex-min vertex."""
+    vertices = sorted(set(vertices))
+    if len(vertices) == 1:
+        return [tuple(vertices)]
+    apex = min(vertices) if apex is None else apex
+    hull = convex_hull(vertices)
+    simplices = []
+    for i in range(len(hull.facets)):
+        face = hull.facet_vertices(i)
+        if apex not in face:
+            simplices.extend(tuple(sorted(s + (apex,)))
+                             for s in _hull_pull_triangulation(face))
+    return simplices
+
+
+# a 5D 0/1 polytope with a facet that meets another facet in a square only:
+# pulled as a facet of the facet it would make a false simplex
+NON_MAXIMAL_CUT = [tuple(map(F, p)) for p in (
+    (0, 0, 0, 0, 0), (0, 1, 1, 0, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1),
+    (1, 1, 0, 0, 0), (1, 1, 0, 1, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 0),
+    (1, 1, 1, 1, 1))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+@example(NON_MAXIMAL_CUT)
+def test_triangulation_matches_hull_recursion(pts):
+    hull = convex_hull(pts)
+    n = hull.ambient_dim
+    assume(hull.dim == n)
+    total = 0
+    apex = min(hull.vertices)
+    for i, (a, b) in enumerate(hull.facets):
+        fverts = hull.facet_vertices(i)
+        assert fverts == tuple(v for v in hull.vertices if vdot(a, v) == b)
+        for choice in fverts:
+            got = triangulate_facet(hull, i, apex=choice)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(_hull_pull_triangulation(fverts, choice))
+        if apex not in fverts:
+            total += sum(abs(det([vsub(v, apex) for v in s]))
+                         for s in _hull_pull_triangulation(fverts))
+    assert volume(hull) == F(total, factorial(n))
+
+
+def test_triangulation_builds_no_hull():
+    cube = convex_hull(list(product((F(0), F(1)), repeat=4)))
+    cube5 = convex_hull(list(product((F(0), F(1)), repeat=5)))
+    prism = convex_hull([(F(x), F(y), F(z)) for x, y in
+                         ((0, 0), (2, 0), (0, 1)) for z in (0, 3)])
+    with mock.patch.object(geometry, "convex_hull",
+                           side_effect=AssertionError("hull built")):
+        fans = [(p.dim, triangulate_facet(p, i)) for p in (cube, cube5)
+                for i in range(len(p.facets))]
+        assert volume(cube) == volume(cube5) == 1
+        assert volume(prism) == 3
+        with pytest.raises(ValueError, match="apex must be a vertex"):
+            triangulate_facet(cube, 0, apex=(F(1, 2),) * 4)
+    # a 3-cube facet pulls into 6 tetrahedra, a 4-cube facet into 24
+    # simplices, and each simplex spans its facet: no lower face, such as a
+    # square of a 4-cube, is taken for one
+    assert [len(f) for _, f in fans] == [6] * 8 + [24] * 10
+    for n, fan in fans:
+        for s in fan:
+            assert len(s) == n
+            assert matrix_rank([vsub(v, s[0]) for v in s[1:]]) == n - 1
+
+
+# -- parallelepiped points from the Hermite form, against a box scan ------
+
+def _box_scan(region):
+    """The region's points by a scan of its box under its integer tests."""
+    equalities, forms, bound = region._tests
+    ineqs = []
+    for form, off in forms:
+        ineqs.append((form, off + bound, True))
+        ineqs.append((tuple(-x for x in form), -off, False))
+    return lattice_scan(equalities, ineqs, *region.bounding_box(),
+                        collect=True)
+
+
+@st.composite
+def lattice_cells(draw):
+    """Half-open parallelepipeds in 1-3 D with a rational base: full-rank
+    ones whose folded generators are integral with |det| > 1 (listed from
+    the Hermite form), and lower-dimensional, non-integral or irrationally
+    translated ones (scanned)."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([n, n, n, max(1, n - 1)]))
+    gens = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(n))
+                 for _ in range(k))
+    assume(matrix_rank(gens) == k)
+    extents = tuple(draw(st.sampled_from([F(1), F(1), F(2), F(1, 2)]))
+                    for _ in range(k))
+    folded = [[e * x for x in g] for g, e in zip(gens, extents)]
+    integral = all(x.denominator == 1 for g in folded for x in g)
+    assume(k < n or not integral or abs(det(folded)) > 1)
+    base = tuple(draw(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4)) for _ in range(n))
+    region = HalfOpenRegion(base, gens, extents)
+    irrational = draw(st.booleans()) and draw(st.booleans())
+    if irrational:
+        shift = [F(0)] * n
+        shift[draw(st.integers(0, n - 1))] = QuadExt(2, 0, F(1, 3))
+        region = region.translated(tuple(shift))
+    elif draw(st.booleans()):
+        region = region.translated(tuple(draw(st.integers(-2, 2))
+                                         for _ in range(n)))
+    return region, k == n and integral and not irrational, abs(det(folded))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_cells())
+def test_region_points_from_hermite_match_box_scan(case):
+    region, listed, volume_ = case
+    reference = _box_scan(region)
+    if listed:
+        # one point per class of Z^n modulo the generators' lattice
+        assert len(reference) == volume_
+        with mock.patch.object(geometry, "lattice_scan",
+                               side_effect=AssertionError("scanned")):
+            assert region.integer_points() == reference
+    else:
+        assert region.integer_points() == reference

@@ -5,8 +5,9 @@ from unittest import mock
 import pytest
 
 from perigraph import cycles
-from perigraph.cli import run_command
+from perigraph.cli import build_parser, run_command
 from perigraph.data import fixture_path
+from perigraph.quotient import GraphError
 from perigraph.netfile import (FormatError, emit_net, emit_polytope,
                                parse_net, parse_polytope)
 
@@ -295,6 +296,9 @@ SPLIT_NET = ("format: pgnet/1\nrank: 1\nundirected: true\nclass: a 0\n"
              "class: b 1/2\nedge: a a 1 1\nedge: b b 1 1\n")
 BARE_NET = ("format: pgnet/1\nrank: 2\nundirected: true\nclass: o\n"
             "edge: o o 1 0 1\nedge: o o 0 1 1\n")
+# a directed net whose periodic graph is strongly connected, with two cycles
+LOOPS_NET = ("format: pgnet/1\nrank: 1\nundirected: false\nclass: o 0\n"
+             "edge: o o 1 1\nedge: o o -1 1\n")
 
 
 @pytest.mark.parametrize("command, net, code, message", [
@@ -310,18 +314,45 @@ BARE_NET = ("format: pgnet/1\nrank: 2\nundirected: true\nclass: o\n"
     ("series", "bare", 2, "this computation needs a realization"),
     # the cycle budget still comes first where no earlier check refuses
     ("invariants", "bare", 2, "cycle enumeration exceeded 1 cycles"),
-    ("series", "one_way", 2, "cycle enumeration exceeded 1 cycles"),
+    ("series", "loops", 2, "cycle enumeration exceeded 1 cycles"),
+    ("series", "one_way", 2, "growth series needs a strongly"),
     ("polytope", "split", 2, "cycle enumeration exceeded 1 cycles"),
 ])
 def test_cli_checks_before_the_cycle_budget(command, net, code, message,
                                             tmp_path, capsys, one_way):
     texts = {"one_way": emit_net(one_way), "split": SPLIT_NET,
-             "bare": BARE_NET}
+             "bare": BARE_NET, "loops": LOOPS_NET}
     path = tmp_path / f"{net}.net"
     path.write_text(texts[net])
     assert run_command([command, str(path), "--max-cycles", "1"]) == code
     out = capsys.readouterr()
     assert message in (out.out if code == 1 else out.err)
+
+
+def test_series_refuses_a_net_that_is_not_strongly_connected(tmp_path,
+                                                            one_way):
+    net = tmp_path / "one_way.net"
+    net.write_text(emit_net(one_way))
+    for start in ("a", "b"):
+        args = build_parser().parse_args(["series", str(net), "--start",
+                                          start])
+        with pytest.raises(GraphError, match="growth series needs a "
+                           "strongly connected periodic graph"):
+            args.func(args)
+
+
+def test_cli_series_not_strongly_connected(tmp_path, capsys, one_way):
+    net = tmp_path / "one_way.net"
+    net.write_text(emit_net(one_way))
+    for start in ("a", "b"):
+        assert run_command(["series", str(net), "--start", start]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: growth series needs a strongly connected "
+                           "periodic graph\n")
+    # the well-arranged verdict on the directed net is unchanged
+    assert run_command(["wellarranged", str(net)]) == 1
+    assert "reason: graph is directed" in capsys.readouterr().out
 
 
 def test_cli_density_not_strongly_connected(tmp_path, capsys, one_way):

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from perigraph.invariants import well_arranged
+from perigraph.invariants import WellArrangedResult, well_arranged
 from perigraph.quotient import GraphError, Vertex, cumulative, growth_sequence
 from perigraph.series import (FitError, IntPolynomial, QuasiPolynomial,
                               RationalSeries, cumulative_series,
@@ -252,3 +252,47 @@ def test_reduction_and_reciprocity_match_sympy(fit, n, kind):
     holds = sympy.cancel(g.subs(T, 1 / T) - sign * T ** shift * g) == 0
     assert reciprocity_check(fit, n, kind) == holds
     assert reciprocity_check(red, n, kind) == holds
+
+
+# -- the cyclotomic witness denominator, against the Euclid lcm fold -------
+
+def _lcm(p, q):
+    """Monic lcm of two polynomials by Euclid's gcd over the rationals."""
+    return (p * q).divmod(p.gcd(q))[0]
+
+
+def _lcm_fold_denominator(result):
+    out = P([1])
+    for simplex in result.simplices:
+        prod = P([1])
+        for v in simplex:
+            prod = prod * one(result.d_map[v])
+        out = _lcm(out, prod)
+    return out * (1 / out[0])
+
+
+@st.composite
+def witnesses(draw):
+    """Well-arranged witnesses over up to eight vertices with d_v <= 12 and
+    one to four simplices of one to four vertices each."""
+    d_map = dict(enumerate(draw(st.lists(st.integers(1, 12), min_size=1,
+                                         max_size=8))))
+    simplex = st.lists(st.sampled_from(sorted(d_map)), min_size=1,
+                       max_size=4, unique=True).map(tuple)
+    simplices = tuple(draw(st.lists(simplex, min_size=1, max_size=4)))
+    return WellArrangedResult("well-arranged", "witness found", d_map, {},
+                              simplices, 1)
+
+
+@given(witnesses())
+@settings(max_examples=150, deadline=None)
+def test_wa_denominator_matches_lcm_fold(result):
+    den = wa_denominator(result)
+    assert den == _lcm_fold_denominator(result)
+    assert den[0] == 1
+    assert all(type(x) is F and x.denominator == 1 for x in den)
+
+
+def test_wa_denominator_needs_a_witness():
+    with pytest.raises(ValueError, match="needs a well-arranged witness"):
+        wa_denominator(WellArrangedResult("unknown", "search exhausted"))
