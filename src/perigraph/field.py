@@ -178,6 +178,17 @@ def exact_ceil(x) -> int:
     return -exact_floor(-x if isinstance(x, QuadExt) else -Fraction(x))
 
 
+def _cleared(points):
+    """(q, scaled): q the least common denominator of the points'
+    coordinates and q * p for each point p, with int coordinates, or QuadExt
+    ones with int parts."""
+    q = math.lcm(*(math.lcm(x.a.denominator, x.b.denominator)
+                   if isinstance(x, QuadExt) else x.denominator
+                   for p in points for x in p))
+    return q, [tuple(x * q if isinstance(x, QuadExt) else int(x * q)
+                     for x in p) for p in points]
+
+
 # -- parsing and formatting -------------------------------------------
 
 _RAT = r"[+-]?\d+(?:/\d+)?"

@@ -23,8 +23,9 @@ from itertools import combinations, product
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .field import (QuadExt, _span_frame, _spread, cross_normal, det,
-                    eliminate, exact_ceil, exact_floor, hermite, scalar_sign)
+from .field import (QuadExt, _cleared, _span_frame, _spread, cross_normal,
+                    det, eliminate, exact_ceil, exact_floor, hermite,
+                    scalar_sign)
 
 
 def vsub(p, q):
@@ -243,12 +244,6 @@ def volume(poly: Polytope):
     return Fraction(total, factorial(poly.ambient_dim))
 
 
-def _denominator(x) -> int:
-    if isinstance(x, QuadExt):
-        return lcm(x.a.denominator, x.b.denominator)
-    return Fraction(x).denominator
-
-
 def _region_frame(n, generators, extents):
     """Integer tests for rel in R^n to be sum_j [0, extent_j) * gen_j: (forms,
     equalities, D, cells) with rel inside iff 0 <= form . rel < D for every
@@ -259,9 +254,9 @@ def _region_frame(n, generators, extents):
     cells is (folded rows, diagonal of their Hermite form) when they are n
     integral vectors, else None.
     """
-    if any(Fraction(e) <= 0 for e in extents):
+    if any(e <= 0 for e in extents):
         raise ValueError("region extents must be positive")
-    folded = [[Fraction(e) * x for x in g] for g, e in zip(generators, extents)]
+    folded = [[e * x for x in g] for g, e in zip(generators, extents)]
     cells = None
     if len(folded) == n and all(x.denominator == 1 for g in folded for x in g):
         rows = [tuple(map(int, g)) for g in folded]
@@ -273,31 +268,31 @@ def _region_frame(n, generators, extents):
 class HalfOpenRegion:
     """base + sum_i [0, extent_i) * gen_i with independent generators.
 
-    ``generators`` and ``extents`` are rational, extents positive; ``base``
-    may also have QuadExt coordinates.  The generators are turned into
-    integer forms once, at construction (``_region_frame``); with q the
-    base's common denominator, membership is then a few int dot products
-    against offsets and the bound q * D, all ints for a rational base.  A
-    point may have int, Fraction or QuadExt coordinates.
+    ``generators`` and ``extents`` are int or rational, extents positive;
+    ``base`` may also have QuadExt coordinates.  The generators are turned
+    into integer forms once, at construction (``_region_frame``); with q a
+    common denominator of the base, membership is then a few int dot
+    products against offsets and the bound q * D, all ints for a rational
+    base.  A point may have int, Fraction or QuadExt coordinates.  c2's
+    regions have int generators (cycle vectors d_v * v), and c2 reads each
+    target's gauge off the row of the facet whose cone holds its region.
     """
 
     base: tuple
-    generators: tuple        # rational vectors
-    extents: tuple           # positive rationals
+    generators: tuple        # int or rational vectors
+    extents: tuple           # positive ints or rationals
     _frame: tuple = field(init=False, repr=False, compare=False)
     _tests: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        q, (qbase,) = _cleared([self.base])
         self._place(_region_frame(len(self.base), self.generators,
-                                  self.extents))
+                                  self.extents), q, qbase)
 
-    def _place(self, frame):
+    def _place(self, frame, q, qbase):
         forms, equalities, bound, _ = frame
-        # q * base has integral rational parts: rational offsets are ints,
-        # an irrational base (a QuadExt realization) keeps QuadExt offsets
-        q = lcm(*(_denominator(x) for x in self.base))
-        qbase = [x * q if isinstance(x, QuadExt) else int(x * q)
-                 for x in self.base]
+        # qbase = q * base has integral rational parts: rational offsets are
+        # ints, an irrational base (a QuadExt realization) keeps QuadExt ones
 
         def scaled(form):
             return tuple(q * x for x in form), vdot(form, qbase)
@@ -307,11 +302,16 @@ class HalfOpenRegion:
             tuple(map(scaled, equalities)), tuple(map(scaled, forms)),
             q * bound))
 
-    def translated(self, shift):
-        """The region moved by ``shift``, reusing this region's frame."""
+    def translated(self, shift, q=1):
+        """The region moved by shift / q, reusing this region's frame; no
+        Fraction arithmetic places the tests when q * base + shift is
+        cleared of denominators (see ``_cleared``)."""
+        r, (qbase,) = _cleared([vadd(vscale(q, self.base), shift)])
+        q *= r
         moved = copy(self)
-        object.__setattr__(moved, "base", vadd(self.base, shift))
-        moved._place(self._frame)
+        object.__setattr__(moved, "base", tuple(
+            x / q if isinstance(x, QuadExt) else Fraction(x, q) for x in qbase))
+        moved._place(self._frame, q, qbase)
         return moved
 
     def contains(self, point):

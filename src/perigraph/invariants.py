@@ -6,20 +6,22 @@ the exact maximum of gauge - distance over the ball of walks with at most
 c-1 edges (c = number of classes); c2 maximizes distance - gauge over the
 half-open region assembled from facet-triangulation boxes, using either
 P-initial cycle data (strict variant) or full-class-support distances
-(support variant).
+(support variant).  Both read gauges off the facet rows in ints, with the
+realization's denominators cleared once per call (``_gauge_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .cycles import growth_polytope, nu_image, p_initial, p_initial_data
 from .ehrhart import count
-from .field import scalar_sign
+from .field import _cleared, scalar_sign
 from .geometry import (HalfOpenRegion, gauge, origin_interior,
-                       triangulate_facet, vadd, vscale, vsub)
+                       triangulate_facet, vadd, vdot, vscale, vsub)
 from .quotient import (EdgeRecord, GraphError, QuotientGraph, Vertex, ball,
                        cumulative, growth_sequence, is_strongly_connected,
                        reachable_classes)
@@ -34,6 +36,29 @@ def _delta(graph, x0: Vertex, cls: int):
     """Phi(class base point) - Phi(x0) for offset 0 of the given class."""
     return vsub(graph.position(Vertex(cls, (0,) * graph.rank)),
                 graph.position(x0))
+
+
+def _offsets(graph, x0: Vertex):
+    """(q, rows): q the realization's common denominator and, per class,
+    q * (Phi(class base point) - Phi(x0)), with int coordinates (QuadExt
+    ones with int parts for an irrational realization)."""
+    q, real = _cleared(graph.realization)
+    base = vadd(real[x0.cls], vscale(q, x0.offset))
+    return q, [vsub(p, base) for p in real]
+
+
+def _gauge_rows(graph, x0: Vertex, polytope):
+    """The facet rows a.x / b of the gauge on one denominator, for vertices
+    y = (cls, u): (den, rows, offsets) with den * a_f.(Phi(y) - Phi(x0)) /
+    b_f == offsets[cls][f] + rows[f] . u for every facet f.  Every b > 0,
+    the origin being interior, and m / b is an int for m the lcm of the
+    numerators of the b."""
+    q, deltas = _offsets(graph, x0)
+    m = lcm(*(b.numerator for _, b in polytope.facets))
+    scaled = [vscale(m // b.numerator * b.denominator, a)
+              for a, b in polytope.facets]
+    return (q * m, [vscale(q, a) for a in scaled],
+            [[vdot(a, d) for a in scaled] for d in deltas])
 
 
 def edge_count_ball(graph: QuotientGraph, x0: Vertex, max_edges: int,
@@ -64,24 +89,34 @@ def _distances_to(graph: QuotientGraph, x0: Vertex, targets, max_states):
 
 def c1(graph: QuotientGraph, x0: Vertex, max_states=10_000_000,
        max_cycles=1_000_000):
-    """Exact value of sup_y (gauge(Phi(y) - Phi(x0)) - d(x0, y))."""
+    """Exact value of sup_y (gauge(Phi(y) - Phi(x0)) - d(x0, y)).
+
+    The gauge is the greatest facet row a.x / b; the rows of every target
+    are compared in ints on one denominator (``_gauge_rows``), and only the
+    best target's value is computed exactly, by ``gauge``."""
     _require_realization(graph)
     polytope = growth_polytope(graph, max_cycles)
     if polytope.dim < polytope.ambient_dim:
         raise GraphError("growth polytope is lower-dimensional")
+    if not origin_interior(polytope):
+        raise ValueError("gauge requires the origin interior to the polytope")
     c = graph.num_classes
     targets = edge_count_ball(graph, x0, c - 1, max_states=max_states)
     maxw = max(e.weight for e in graph.edges)
     dist = ball(graph, x0, (c - 1) * maxw, max_states=max_states,
                 targets=targets)
-    best = Fraction(0)
-    pos0 = graph.position(x0)
+    den, rows, offsets = _gauge_rows(graph, x0, polytope)
+    top, arg = 0, None
     for y in targets:
-        g = gauge(polytope, vsub(graph.position(y), pos0))
-        val = g - dist[y]
-        if scalar_sign(val - best) > 0:
-            best = val
-    return best
+        d = dist[y] * den
+        for row, off in zip(rows, offsets[y.cls]):
+            val = off + vdot(row, y.offset) - d
+            if val > top:
+                top, arg = val, y
+    if arg is None:
+        return Fraction(0)
+    rel = vsub(graph.position(arg), graph.position(x0))
+    return gauge(polytope, rel) - dist[arg]
 
 
 def _general_vertex_weights(graph, max_cycles):
@@ -100,47 +135,75 @@ def _general_vertex_weights(graph, max_cycles):
     return out
 
 
+def _generators(ds, simplex):
+    """d_v * v for the vertices v of a simplex: int vectors when every one
+    is a lattice vector, as a cycle vector is, else rational ones."""
+    gens = tuple(tuple(d * c for c in v) for d, v in zip(ds, simplex))
+    if all(x.denominator == 1 for g in gens for x in g):
+        return tuple(tuple(x.numerator for x in g) for g in gens)
+    return gens
+
+
 def region_from_triangulations(graph, polytope, d_map, apices=None):
-    """Half-open union: over facets and fan simplices, sum of [0,1) d_v v."""
-    origin = tuple(Fraction(0) for _ in range(graph.rank))
+    """Half-open union: over facets and fan simplices, sum of [0,1) d_v v,
+    as (facet index, region) pairs."""
+    origin = (0,) * graph.rank
     regions = []
-    for i, (a, b) in enumerate(polytope.facets):
+    for i in range(len(polytope.facets)):
         apex = None if apices is None else apices.get(i)
         for simplex in triangulate_facet(polytope, i, apex=apex):
-            gens = tuple(tuple(d_map[v] * c for c in v) for v in simplex)
-            exts = tuple(Fraction(1) for _ in simplex)
-            regions.append(HalfOpenRegion(origin, gens, exts))
+            gens = _generators([d_map[v] for v in simplex], simplex)
+            regions.append((i, HalfOpenRegion(origin, gens, (1,) * len(gens))))
     return regions
 
 
 def vertices_in_regions(graph, x0, regions):
     """Graph vertices y with Phi(y) - Phi(x0) in the union of regions, class
-    by class and in lexicographic order of the offset."""
+    by class and in lexicographic order of the offset, as triples: y, the
+    index of the first region holding y, and that region translated to the
+    class's offsets, in which y's offset lies."""
+    q, deltas = _offsets(graph, x0)
     found = []
-    for cls in range(graph.num_classes):
-        delta = _delta(graph, x0, cls)
+    for cls, qdelta in enumerate(deltas):
         # Phi(y) - Phi(x0) = delta + u for y at offset u (delta holds
         # -x0.offset), so the hits are the integer points u of the regions
-        # translated by -delta
-        shift = vscale(-1, delta)
-        hits = set().union(*(r.translated(shift).integer_points()
-                             for r in regions))
-        found.extend((Vertex(cls, u), vadd(delta, u))
-                     for u in sorted(hits))
+        # translated by -delta = -qdelta / q
+        shift = vscale(-1, qdelta)
+        moved = [r.translated(shift, q) for r in regions]
+        first = {}
+        for i, r in enumerate(moved):
+            for u in r.integer_points():
+                first.setdefault(u, i)
+        found.extend((Vertex(cls, u), first[u], moved[first[u]])
+                     for u in sorted(first))
     return found
 
 
 def _sup_over_regions(graph, x0, polytope, d_map, distances, best):
     """Max of distances(ys)[y] - gauge over the vertices y of the half-open
-    region of d_map, starting from ``best`` (None: no starting value)."""
+    region of d_map, starting from ``best`` (None: no starting value).
+
+    Each region spans part of the cone over one facet a.x <= b, where the
+    gauge is a.x / b, so a target's gauge is its row of the facet of the
+    first region holding it, in ints on one denominator (``_gauge_rows``).
+    """
+    if not origin_interior(polytope):
+        raise ValueError("c2 requires the origin interior to the growth "
+                         "polytope")
     regions = region_from_triangulations(graph, polytope, d_map)
-    targets = vertices_in_regions(graph, x0, regions)
-    dist = distances([y for y, _ in targets])
-    for y, rel in targets:
-        val = dist[y] - gauge(polytope, rel)
-        if best is None or scalar_sign(val - best) > 0:
-            best = val
-    return best
+    targets = vertices_in_regions(graph, x0, [r for _, r in regions])
+    dist = distances([y for y, _, _ in targets])
+    den, rows, offsets = _gauge_rows(graph, x0, polytope)
+    top = None
+    for y, i, _ in targets:
+        f = regions[i][0]
+        val = dist[y] * den - offsets[y.cls][f] - vdot(rows[f], y.offset)
+        if top is None or val > top:
+            top = val
+    if top is None:
+        return best
+    value = Fraction(top, den) if isinstance(top, int) else top / den
+    return value if best is None or value > best else best
 
 
 def c2(graph: QuotientGraph, x0: Vertex, max_states=10_000_000,
@@ -338,18 +401,19 @@ def _wa_condition(graph, x0, d_map, simplex, ball_cache, max_states):
     The half-open region of S is the face of the simplex's region where the
     coefficients outside S vanish, so one scan of the full region serves
     every subset: a point belongs to S when its support mask lies in S."""
-    full_sum = sum(d_map[v] for v in simplex)
+    ds = [d_map[v] for v in simplex]
+    full_sum = sum(ds)
     dist0 = _class_ball(graph, x0.cls, full_sum, ball_cache, max_states)
-    gens = tuple(tuple(d_map[v] * c for c in v) for v in simplex)
-    if any(x.denominator != 1 for g in gens for x in g):
+    gens = _generators(ds, simplex)
+    if not all(type(x) is int for g in gens for x in g):
         return False  # d_v * v must be a lattice vector
     region = HalfOpenRegion((0,) * graph.rank, gens, (1,) * len(gens))
-    points = [(y, region.support(rel))
-              for y, rel in vertices_in_regions(graph, x0, [region])]
+    points = [(y, moved.support(y.offset))
+              for y, _, moved in vertices_in_regions(graph, x0, [region])]
     for mask in range(1, 1 << len(simplex)):
         subset = [j for j in range(len(simplex)) if mask >> j & 1]
-        total = sum(d_map[simplex[j]] for j in subset)
-        z_rel = tuple(int(sum(col)) for col in zip(*(gens[j] for j in subset)))
+        total = sum(ds[j] for j in subset)
+        z_rel = tuple(map(sum, zip(*(gens[j] for j in subset))))
         for y, support in points:
             if support & ~mask:
                 continue

@@ -1,8 +1,17 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from perigraph import load_net, load_polytope, parse_net
+
+TESTS = Path(__file__).resolve().parent
+
+
+def load_test_net(name):
+    """A bundled net, or one kept beside the tests (``wakatsuki-q2``)."""
+    path = TESTS / f"{name}.net"
+    return parse_net(path.read_text()) if path.exists() else load_net(name)
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +37,11 @@ def z2():
 @pytest.fixture(scope="session")
 def z3():
     return load_net("z3")
+
+
+@pytest.fixture(scope="session")
+def wakatsuki_q2():
+    return load_test_net("wakatsuki-q2")
 
 
 @pytest.fixture(scope="session")

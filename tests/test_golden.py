@@ -1,7 +1,8 @@
 """Golden outputs of the certify commands.
 
 ``invariants``, ``wellarranged`` and ``series`` run with ``--format json``
-on every bundled net from every start class, and on one copy of each net
+on every bundled net and on ``wakatsuki-q2`` (an irrational realization,
+kept beside this file) from every start class, and on one copy of each net
 under a unimodular change of basis; stdout, stderr and the exit code must
 match ``golden_certify.json`` byte for byte.  A change that means to alter
 these outputs rewrites the file with ``python tests/test_golden.py`` and
@@ -17,11 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from perigraph import emit_net, load_net
+from perigraph import emit_net
 from perigraph.cli import run_command
 
-GOLDEN = Path(__file__).resolve().parent / "golden_certify.json"
-NETS = ("z1", "z2", "z3", "dia", "wakatsuki")
+from conftest import TESTS, load_test_net
+
+GOLDEN = TESTS / "golden_certify.json"
+NETS = ("z1", "z2", "z3", "dia", "wakatsuki", "wakatsuki-q2")
 COMMANDS = ("invariants", "wellarranged", "series")
 # one change of basis per rank; rank 1 has no shear, so z1 is mirrored
 BASIS = {1: ((-1,),), 2: ((1, 1), (0, 1)),
@@ -41,7 +44,7 @@ def _changed_basis(graph):
 
 def _cases():
     for name in NETS:
-        graph = load_net(name)
+        graph = load_test_net(name)
         for sheared in (False, True):
             for start in graph.class_names:
                 for command in COMMANDS:
@@ -49,7 +52,7 @@ def _cases():
 
 
 def _net_file(directory, name, sheared):
-    graph = load_net(name)
+    graph = load_test_net(name)
     if sheared:
         graph = _changed_basis(graph)
     path = Path(directory) / f"{graph.name}.net"

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigraph import invariants, load_net, parse_net
-from perigraph.cycles import growth_polytope, p_initial_data
+from perigraph import geometry, invariants, parse_net
+from perigraph.cycles import growth_polytope, p_initial, p_initial_data
 from perigraph.geometry import volume
 from perigraph.field import QuadExt
 from perigraph.geometry import (HalfOpenRegion, gauge, integer_box,
-                                triangulate_facet, vadd, vsub)
+                                triangulate_facet, vadd, vdot, vscale, vsub)
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
-                                  c1, c2, edge_count_ball, support_distance,
-                                  verify_alpha_ehrhart, well_arranged)
+                                  c1, c2, c2_support, edge_count_ball,
+                                  region_from_triangulations,
+                                  support_distance, verify_alpha_ehrhart,
+                                  vertices_in_regions, well_arranged)
 from perigraph.series import topological_density
 from perigraph.quotient import (GraphError, ResourceLimit, Vertex, ball,
                                 cumulative, growth_sequence)
+
+from conftest import load_test_net
 
 
 def origin(graph, cls=0):
@@ -46,23 +50,11 @@ def test_constants_wakatsuki(wakatsuki):
         assert alpha_ehrhart_window(a.c1, a.c2) is None
 
 
-def test_constants_irrational_realization():
+def test_constants_irrational_realization(wakatsuki_q2):
     # wakatsuki with two classes moved by multiples of sqrt(2): the class
     # offsets delta are QuadExt, so the region scan translates regions by
     # an irrational vector; the values are those of per-point elimination
-    g = parse_net("""format: pgnet/1
-name: wakatsuki-q2
-rank: 2
-undirected: true
-class: v0 0 0
-class: v1 1/2+1/10*sqrt(2) 1/2
-class: v2 1/2 -1/7*sqrt(2)
-edge: v0 v1 0 0 1
-edge: v0 v1 -1 0 1
-edge: v0 v1 -1 -1 1
-edge: v0 v2 0 0 1
-edge: v1 v2 0 0 1
-""")
+    g = wakatsuki_q2
     vals = [asymptotic_constants(g, origin(g, i)) for i in range(3)]
     assert [(a.c1, a.c2, a.variant) for a in vals] == [
         (QuadExt(2, 1, F(-1, 5)), QuadExt(2, 1, F(2, 7)), "p-initial"),
@@ -306,12 +298,27 @@ def test_two_class_irrational_constants_and_alpha_window():
     assert got == [False, True, False, True, False]
 
 
+CORNER_NET = ("format: pgnet/1\nrank: 2\nclass: o 0 0\n"
+              "edge: o o 1 0 1\nedge: o o 0 1 1\n")
+
+
 def test_alpha_ehrhart_requires_origin_interior():
     # the growth polytope conv(0, e1, e2) has the origin as a vertex
-    g = parse_net("format: pgnet/1\nrank: 2\nclass: o 0 0\n"
-                  "edge: o o 1 0 1\nedge: o o 0 1 1\n")
+    g = parse_net(CORNER_NET)
     with pytest.raises(ValueError, match="origin interior"):
         verify_alpha_ehrhart(g, origin(g), F(-5), 3)
+
+
+def test_constants_require_origin_interior():
+    # the origin is a vertex of P = conv(0, e1, e2), so no d_v exists for it
+    # and no region may be built; o is P-initial, so c2 reaches that check
+    g = parse_net(CORNER_NET)
+    assert p_initial(g, 0)
+    for constant in (c1, c2, c2_support):
+        with mock.patch.object(invariants, "region_from_triangulations",
+                               side_effect=AssertionError("region built")):
+            with pytest.raises(ValueError, match="origin interior"):
+                constant(g, origin(g))
 
 
 # -- invariance under a change of lattice basis --------------------------
@@ -324,11 +331,11 @@ def _invariants(graph, x0):
 
 
 @st.composite
-def sheared_starts(draw):
-    """A fixture, a start vertex at a random offset, and the fixture under a
-    product of up to three elementary shears I + s*E_ij with s = +-1."""
-    name = draw(st.sampled_from(["z2", "dia", "wakatsuki"]))
-    graph = load_net(name)
+def sheared_starts(draw, names=("z2", "dia", "wakatsuki")):
+    """A fixture named in ``names``, a start vertex at a random offset, and
+    the fixture under a product of up to three elementary shears I + s*E_ij
+    with s = +-1."""
+    graph = load_test_net(draw(st.sampled_from(names)))
     n = graph.rank
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(1, 3))):
@@ -368,3 +375,68 @@ def test_c2_and_witness_ignore_start_offset(z2, dia):
         ref = _invariants(graph, origin(graph))
         assert _invariants(graph, x0) == ref
         assert ref[3] == "well-arranged"
+
+
+# -- c2's targets and their gauge from the facet rows ----------------------
+
+def fraction_vertices_in_regions(graph, x0, regions):
+    """The target list with Fraction positions, one translation of each
+    region by -delta per class: the reference for vertices_in_regions.
+    Returns (y, Phi(y) - Phi(x0)) pairs."""
+    found = []
+    for cls in range(graph.num_classes):
+        delta = invariants._delta(graph, x0, cls)
+        hits = set().union(*(r.translated(vscale(-1, delta)).integer_points()
+                             for r in regions))
+        found.extend((Vertex(cls, u), vadd(delta, u)) for u in sorted(hits))
+    return found
+
+
+@settings(max_examples=20, deadline=None)
+@given(sheared_starts(("z3", "dia", "wakatsuki", "wakatsuki-q2")))
+def test_facet_row_gauge_matches_gauge(case):
+    """Every c2 and c2_support target gets gauge(Phi(y) - Phi(x0)) from the
+    row of its region's facet, and the target list, with each target's
+    first region and support, is the one the Fraction scan finds; on a
+    ball, the greatest row (c1's rule) is the gauge too.  The nets have
+    rational and irrational (wakatsuki-q2) realizations."""
+    _, graph, x0 = case
+    poly = growth_polytope(graph)
+    den, rows, offsets = invariants._gauge_rows(graph, x0, poly)
+    pos0 = graph.position(x0)
+    d_maps = [invariants._general_vertex_weights(graph, 1_000_000)]
+    pdata = p_initial_data(graph, x0.cls)
+    if pdata.is_p_initial:
+        d_maps.append({v: w for v, (w, _) in pdata.witnesses.items()})
+    for d_map in d_maps:
+        pairs = region_from_triangulations(graph, poly, d_map)
+        regions = [r for _, r in pairs]
+        targets = vertices_in_regions(graph, x0, regions)
+        reference = fraction_vertices_in_regions(graph, x0, regions)
+        assert [y for y, _, _ in targets] == [y for y, _ in reference]
+        for (y, i, moved), (_, rel) in zip(targets, reference):
+            assert rel == vsub(graph.position(y), pos0)
+            assert [r.contains(rel) for r in regions[:i + 1]] == \
+                [False] * i + [True]
+            assert moved.support(y.offset) == regions[i].support(rel)
+            f = pairs[i][0]
+            row = offsets[y.cls][f] + vdot(rows[f], y.offset)
+            assert row / den == gauge(poly, rel)
+    for y in ball(graph, x0, 3):
+        rel = vsub(graph.position(y), pos0)
+        top = max(off + vdot(row, y.offset)
+                  for row, off in zip(rows, offsets[y.cls]))
+        assert top / den == gauge(poly, rel)
+
+
+def test_c2_calls_no_gauge(dia, wakatsuki, wakatsuki_q2):
+    cases = [(dia, origin(dia))] + [(g, origin(g, i))
+                                    for g in (wakatsuki, wakatsuki_q2)
+                                    for i in range(3)]
+    expected = [asymptotic_constants(g, x0).c2 for g, x0 in cases]
+    no_gauge = AssertionError("gauge called")
+    with mock.patch.object(invariants, "gauge", side_effect=no_gauge), \
+            mock.patch.object(geometry, "gauge", side_effect=no_gauge):
+        got = [c2(g, x0) if p_initial(g, x0.cls) else c2_support(g, x0)
+               for g, x0 in cases]
+    assert got == expected
