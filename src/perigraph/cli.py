@@ -314,7 +314,8 @@ def cmd_ehrhart(args):
     report = {"polytope": name, "alpha": str(alpha),
               "shift": tuple(map(str, shift)), "counts": counts}
     qp = _ehrhart.fit_shifted_qp(poly, shift, alpha,
-                                 counts=dict(enumerate(counts)))
+                                 counts=dict(enumerate(counts)),
+                                 max_states=args.max_states)
     report["period"] = qp.period
     report["constituents"] = [str(c) for c in qp.constituents]
     report["reciprocity"] = _ehrhart.verify_reciprocity(poly, shift, alpha,

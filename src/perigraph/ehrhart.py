@@ -9,8 +9,9 @@ scanning after clearing all denominators to integers; no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 
+from .field import _cleared, exact_floor
 from .geometry import lattice_scan, origin_interior, vdot
 from .quotient import EdgeRecord, QuotientGraph, ResourceLimit
 from .series import QuasiPolynomial, fit_quasi_polynomial
@@ -18,19 +19,44 @@ from .series import QuasiPolynomial, fit_quasi_polynomial
 
 def _points(P, v, t, strict, collect):
     """Integer points of v + t*P (of v + t*relint P when strict), for exact
-    scalars v and t (rational or QuadExt), from P's H-representation; at
-    t = 0 its rows describe {v}."""
+    scalars v and t (rational or QuadExt), from P's integer rows; at t = 0
+    they describe {v}.
+
+    With q the common denominator of v and t and L that of P's vertices
+    (``Polytope._integer_rows``), a row a.x <= b of P reads
+    D a.x <= L a.(q v) + (q t)(L b) on v + t*P, D = q L, with every term an
+    int (its parts ints for a QuadExt v or t).  So each right side and box
+    bound is rounded by one ``//``: down for a closed row and the upper
+    bound, up for a strict row (``lattice_scan`` reads a.x < ceil) and the
+    lower bound."""
     if len(v) != P.ambient_dim:
         raise ValueError(f"shift has {len(v)} coordinates, the polytope "
                          f"has {P.ambient_dim}")
     if t < 0 or (strict and t <= 0):
         return [] if collect else 0
-    eqs = [(e, vdot(e, v) + t * f) for e, f in P.equalities]
-    ineqs = [(a, vdot(a, v) + t * b, strict) for a, b in P.facets]
-    columns = list(zip(*P.vertices))
-    lo = tuple(x + t * min(c) for x, c in zip(v, columns))
-    hi = tuple(x + t * max(c) for x, c in zip(v, columns))
-    return lattice_scan(eqs, ineqs, lo, hi, collect=collect)
+    L, _, equalities, facets, lo, hi = P._integer_rows()
+    q, ((*qv, qt),) = _cleared([(*v, t)])
+    D = q * L
+
+    def down(R):  # floor(R / D); exact_floor passes an int through
+        return exact_floor(R) // D
+
+    def up(R):  # ceil(R / D)
+        return -down(-R)
+
+    eqs = []
+    for e, f in equalities:
+        R = L * vdot(e, qv) + qt * f
+        r = down(R)
+        if r * D != R:
+            return [] if collect else 0
+        eqs.append((e, r))
+    round_row = up if strict else down
+    ineqs = [(a, round_row(L * vdot(a, qv) + qt * b), strict)
+             for a, b in facets]
+    box_lo = tuple(up(L * x + qt * m) for x, m in zip(qv, lo))
+    box_hi = tuple(down(L * x + qt * m) for x, m in zip(qv, hi))
+    return lattice_scan(eqs, ineqs, box_lo, box_hi, collect=collect)
 
 
 def count(P, v, t) -> int:
@@ -51,26 +77,29 @@ def lattice_points_of(P, v=None, t=1, strict=False):
 
 def minimal_dilation(P) -> int:
     """Smallest a with a*P having integral vertices."""
-    return lcm(*(Fraction(x).denominator
-                 for w in P.vertices for x in w))
+    return P._integer_rows()[0]
 
 
 def shifted_count(P, v, alpha, d) -> int:
     return count(P, v, Fraction(d) + Fraction(alpha))
 
 
-def fit_shifted_qp(P, v, alpha, period=None, counts=None
-                   ) -> QuasiPolynomial:
+def fit_shifted_qp(P, v, alpha, period=None, counts=None,
+                   max_states=10_000_000) -> QuasiPolynomial:
     """Quasi-polynomial f with f(d) = shifted_count(P, v, alpha, d) for
     d >= -alpha; constituents have degree <= dim P.  ``counts`` may map
     some d to shifted_count(P, v, alpha, d), already counted by the caller.
 
     The fit (``series.fit_quasi_polynomial``) interpolates through M + 1
     dilations per residue class and checks f against the count at every d
-    of the first M + 4 periods."""
+    of the first M + 4 periods: N * (M + 4) counts for the period N.  More
+    than ``max_states`` of them raise ResourceLimit before any is made."""
     alpha = Fraction(alpha)
     M = P.dim
     N = period or minimal_dilation(P) * alpha.denominator
+    if N * (M + 4) > max_states:
+        raise ResourceLimit(f"the fit counts {N * (M + 4)} dilations, over "
+                            f"the budget of {max_states} states")
     valid_from = ceil(-alpha)
     # the verification recounts every dilation the fit interpolated through;
     # the memo starts from the caller's counts and lives for this call only

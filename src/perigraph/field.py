@@ -158,9 +158,12 @@ def scalar_sign(x) -> int:
 
 
 def exact_floor(x) -> int:
-    """Floor of an exact scalar, computed without floating point decisions."""
+    """Floor of an exact scalar, computed without floating point decisions;
+    an int comes back unchanged."""
+    if type(x) is int:
+        return x
     if isinstance(x, Rational):
-        return math.floor(Fraction(x))
+        return x.numerator // x.denominator
     if not isinstance(x, QuadExt):
         raise TypeError(type(x))
     if x.b == 0:
@@ -169,13 +172,19 @@ def exact_floor(x) -> int:
     # irrational, so it lies strictly between consecutive integers found by
     # isqrt, and floor(y / D) == floor(floor(y) / D) for integer D > 0.
     den = math.lcm(x.a.denominator, x.b.denominator)
-    a, b = int(x.a * den), int(x.b * den)
+    a = x.a.numerator * (den // x.a.denominator)
+    b = x.b.numerator * (den // x.b.denominator)
     r = math.isqrt(b * b * x.d)
     return (a + (r if b > 0 else -r - 1)) // den
 
 
 def exact_ceil(x) -> int:
-    return -exact_floor(-x if isinstance(x, QuadExt) else -Fraction(x))
+    """Ceiling of an exact scalar; an int comes back unchanged."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Rational):
+        return -(-x.numerator // x.denominator)
+    return -exact_floor(-x)
 
 
 def _cleared(points):
@@ -185,8 +194,9 @@ def _cleared(points):
     q = math.lcm(*(math.lcm(x.a.denominator, x.b.denominator)
                    if isinstance(x, QuadExt) else x.denominator
                    for p in points for x in p))
-    return q, [tuple(x * q if isinstance(x, QuadExt) else int(x * q)
-                     for x in p) for p in points]
+    return q, [tuple(x * q if isinstance(x, QuadExt) else
+                     x.numerator * (q // x.denominator) for x in p)
+               for p in points]
 
 
 # -- parsing and formatting -------------------------------------------
@@ -394,7 +404,8 @@ def _span_frame(vectors, n):
     """
     k = len(vectors)
     den = math.lcm(*(x.denominator for v in vectors for x in v))
-    sel, m, d, _ = eliminate([[int(x * den) for x in v] +
+    sel, m, d, _ = eliminate([[x.numerator * (den // x.denominator)
+                               for x in v] +
                               [int(i == j) for j in range(k)]
                               for i, v in enumerate(vectors)], n)
     if len(sel) < k:

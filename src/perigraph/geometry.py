@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 
 from .field import (QuadExt, _cleared, _span_frame, _spread, cross_normal,
@@ -56,13 +56,16 @@ class Polytope:
     """Rational polytope of dimension ``dim`` in R^ambient_dim: the points x
     with e.x == f for every equality and a.x <= b for every facet, each row
     a primitive int normal with a Fraction right side.  A full-dimensional
-    polytope has no equalities.  Facet incidences are kept on first use."""
+    polytope has no equalities.  Its integer rows and facet incidences are
+    kept on first use."""
 
     ambient_dim: int
     dim: int
     vertices: tuple          # sorted tuples of Fractions
     equalities: tuple        # (e, f): the affine hull
     facets: tuple            # (a, b)
+    _rows: tuple = field(default=None, init=False, repr=False,
+                         compare=False)
     _masks: tuple = field(default=None, init=False, repr=False,
                           compare=False)
 
@@ -77,15 +80,32 @@ class Polytope:
                 return False
         return True
 
+    def _integer_rows(self):
+        """The polytope over L, the vertices' common denominator: (L,
+        scaled, equalities, facets, lo, hi) with L*v for each vertex v in
+        scaled, the rows (e, L*f) and (a, L*b), and the box [lo, hi] of
+        L*P, all ints.  Each right side is a row's value at a vertex, so
+        L clears it."""
+        if self._rows is None:
+            L, scaled = _cleared(self.vertices)
+
+            def rows(pairs):
+                return tuple((a, b.numerator * (L // b.denominator))
+                             for a, b in pairs)
+            columns = tuple(zip(*scaled))
+            object.__setattr__(self, "_rows", (
+                L, scaled, rows(self.equalities), rows(self.facets),
+                tuple(map(min, columns)), tuple(map(max, columns))))
+        return self._rows
+
     def _facet_masks(self):
         """Per facet, the bit mask of its vertex indices: v is on a.x <= b
-        when a.(L v) == L b, L the vertices' common denominator."""
+        when a.(L v) == L b (``_integer_rows``)."""
         if self._masks is None:
-            L = lcm(*(x.denominator for v in self.vertices for x in v))
-            scaled = [tuple(int(x * L) for x in v) for v in self.vertices]
+            _, scaled, _, facets, _, _ = self._integer_rows()
             object.__setattr__(self, "_masks", tuple(
-                sum(1 << i for i, v in enumerate(scaled)
-                    if vdot(a, v) == b * L) for a, b in self.facets))
+                sum(1 << i for i, v in enumerate(scaled) if vdot(a, v) == b)
+                for a, b in facets))
         return self._masks
 
     def facet_vertices(self, facet_index):
@@ -160,8 +180,7 @@ def convex_hull(points):
         raise ValueError("empty point set")
     n, base = len(pts[0]), pts[0]
     # a row a.x <= b of the scaled points is a.x <= b/L of the originals
-    L = lcm(*(x.denominator for p in pts for x in p))
-    scaled = [tuple(int(x * L) for x in p) for p in pts]
+    L, scaled = _cleared(pts)
     diffs = [vsub(p, scaled[0]) for p in scaled[1:]]
     picked = eliminate(list(zip(*diffs)), len(diffs))[0]
     simplex = [0] + [i + 1 for i in picked]
@@ -575,6 +594,8 @@ def lattice_scan(eqs, ineqs, lo, hi, collect=False):
     (rational or QuadExt).  They are rounded once for ``_scan``: a closed row
     to floor(b), a strict one to ceil(b) - 1, the box to (ceil(lo),
     floor(hi)); an equality with a non-integer right side has no points.
+    Int right sides and bounds, which the Ehrhart counts pass, round to
+    themselves without building a Fraction.
     """
     int_eqs = []
     for e, f in eqs:

@@ -144,14 +144,13 @@ def _generators(ds, simplex):
     return gens
 
 
-def region_from_triangulations(graph, polytope, d_map, apices=None):
-    """Half-open union: over facets and fan simplices, sum of [0,1) d_v v,
-    as (facet index, region) pairs."""
+def region_from_triangulations(graph, polytope, d_map):
+    """Half-open union: over facets and fan simplices from each facet's
+    lex-min vertex, sum of [0,1) d_v v, as (facet index, region) pairs."""
     origin = (0,) * graph.rank
     regions = []
     for i in range(len(polytope.facets)):
-        apex = None if apices is None else apices.get(i)
-        for simplex in triangulate_facet(polytope, i, apex=apex):
+        for simplex in triangulate_facet(polytope, i):
             gens = _generators([d_map[v] for v in simplex], simplex)
             regions.append((i, HalfOpenRegion(origin, gens, (1,) * len(gens))))
     return regions

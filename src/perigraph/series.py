@@ -137,7 +137,7 @@ class IntPolynomial:
         if self.is_zero():
             return self
         den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = 0
         for x in ints:
             g = gcd(g, abs(x))
@@ -285,18 +285,22 @@ class QuasiPolynomial:
 
 
 def interpolate(points) -> IntPolynomial:
-    """Lagrange interpolation through exact (x, y) pairs."""
-    result = IntPolynomial(())
-    for i, (xi, yi) in enumerate(points):
-        basis = IntPolynomial([1])
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = basis * IntPolynomial([-xj, 1])
-            denom *= xi - xj
-        result = result + basis * (Fraction(yi) / denom)
-    return result
+    """The polynomial of least degree through exact (x, y) pairs with
+    distinct x: Newton's divided differences c_k = [y_0, ..., y_k], then
+    c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)) expanded once, from the
+    inside out."""
+    xs = [x for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
+    poly = []
+    for x, c in zip(reversed(xs), reversed(coef)):
+        # poly * (t - x) + c
+        poly = [c, *poly]
+        for j in range(len(poly) - 1):
+            poly[j] -= x * poly[j + 1]
+    return IntPolynomial(poly)
 
 
 def fit_quasi_polynomial(value, period, degree, valid_from, stop
@@ -307,7 +311,9 @@ def fit_quasi_polynomial(value, period, degree, valid_from, stop
     Each constituent interpolates ``value`` at the first degree + 1
     integers i >= valid_from of its residue class; f is then checked
     against ``value`` at every i in [valid_from, stop), which must reach
-    past those points for the check to mean anything.
+    past those points for the check to mean anything.  The check runs in
+    ints: each constituent over its coefficients' common denominator den,
+    so f(i) == value(i) reads den * value(i) == sum(den * c_k * i^k).
     """
     constituents = [None] * period
     for r in range(period):
@@ -315,12 +321,20 @@ def fit_quasi_polynomial(value, period, degree, valid_from, stop
         constituents[r] = interpolate([(i, value(i)) for i in
                                        range(i0, i0 + period * (degree + 1),
                                              period)])
-    qp = QuasiPolynomial(period, tuple(constituents), valid_from)
+    scaled = []
+    for p in constituents:
+        den = lcm(*(c.denominator for c in p))
+        scaled.append((den, [c.numerator * (den // c.denominator)
+                             for c in reversed(p.coeffs)]))
     for i in range(valid_from, stop):
-        if qp.evaluate(i) != value(i):
+        den, coeffs = scaled[i % period]
+        acc = 0
+        for c in coeffs:
+            acc = acc * i + c
+        if acc != den * value(i):
             raise FitError(f"values are not quasi-polynomial with period "
                            f"{period} at {i}")
-    return qp
+    return QuasiPolynomial(period, tuple(constituents), valid_from)
 
 
 def to_quasi_polynomial(series: RationalSeries, period: int | None = None,

@@ -1,18 +1,21 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from perigraph import ehrhart
 from perigraph.ehrhart import (count, count_interior, fit_shifted_qp, gamma_q,
                                interior_shell_check, is_reflexive,
                                lattice_points_of, minimal_dilation,
                                shifted_count, verify_reciprocity)
 from perigraph.field import QuadExt, exact_floor
 from perigraph.geometry import Polytope, convex_hull
-from perigraph.quotient import Vertex, ball, cumulative, growth_sequence
+from perigraph.quotient import (ResourceLimit, Vertex, ball, cumulative,
+                                growth_sequence)
 from perigraph.series import FitError
 
 
@@ -134,6 +137,42 @@ def test_counts_match_brute_force_2d_3d(case, t):
     assert count_interior(P, v, t) == _brute_count_exact(P, v, t, True)
 
 
+@st.composite
+def rational_polytopes(draw):
+    """A random rational polytope in 2 or 3 D of any dimension up to n: the
+    hull of points base + sum_j m_j d_j for k <= n rational directions d_j
+    and small integer multiples m_j."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(0, n))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    base = [draw(coord) for _ in range(n)]
+    dirs = [[draw(coord) for _ in range(n)] for _ in range(k)]
+    points = []
+    for _ in range(draw(st.integers(k + 1, k + 3))):
+        m = [draw(st.integers(-1, 1)) for _ in dirs]
+        points.append(tuple(b + sum(x * d[c] for x, d in zip(m, dirs))
+                            for c, b in enumerate(base)))
+    return convex_hull(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polytopes(),
+       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                min_size=3, max_size=3),
+       st.one_of(st.sampled_from([F(0), F(-1), F(-1, 3)]),
+                 st.fractions(min_value=0, max_value=3, max_denominator=4)))
+# the segment's line 2x = y moves to 2x - y = -1/2, which holds no
+# integer point, although 2x - y = -1 crosses the box at (1, 3)
+@example(convex_hull([(F(0), F(0)), (F(2), F(4))]), [0, F(1, 2), 0], F(1))
+def test_integer_rows_count_like_membership(P, shift, t):
+    """count and count_interior, on the polytope's integer rows, against a
+    Polytope.contains filter of a covering box, for rational v and t,
+    t = 0 and t < 0 included, on polytopes of every dimension."""
+    v = tuple(shift[:P.ambient_dim])
+    assert count(P, v, t) == brute_count(P, v, t, False)
+    assert count_interior(P, v, t) == brute_count(P, v, t, True)
+
+
 def test_lower_dimensional_counts():
     # segment from (0,0) to (2,4) has gcd+1 = 3 points
     P = convex_hull([(F(0), F(0)), (F(2), F(4))])
@@ -163,6 +202,17 @@ def test_fit_shifted_qp_shifted():
     assert qp.period == minimal_dilation(P) * 2
     for d in range(12):
         assert qp.evaluate(d) == shifted_count(P, (F(1, 3), F(0)), F(1, 2), d)
+
+
+def test_fit_budget_refuses_before_counting(square_poly, monkeypatch):
+    # period 7 and dim 2: the fit would count 7 * 6 = 42 dilations
+    monkeypatch.setattr(ehrhart, "shifted_count", mock.Mock(
+        side_effect=AssertionError("counted")))
+    with pytest.raises(ResourceLimit, match="42 dilations"):
+        fit_shifted_qp(square_poly, (0, 0), F(1, 7), max_states=41)
+    monkeypatch.undo()
+    qp = fit_shifted_qp(square_poly, (0, 0), F(1, 7), max_states=42)
+    assert qp.period == 7
 
 
 def test_fit_rejects_wrong_period(square_poly):

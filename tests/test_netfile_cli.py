@@ -253,6 +253,24 @@ def test_cli_gammaq_budget_exits_2(tmp_path, capsys):
     assert "cycle enumeration exceeded" in capsys.readouterr().err
 
 
+def test_cli_ehrhart_budget_exits_2(capsys):
+    # period 300001: the fit would count 6 * 300001 dilations
+    square = str(fixture_path("square.poly"))
+    t0 = time.perf_counter()
+    assert run_command(["ehrhart", square, "--alpha=1/300001",
+                        "--max-states", "1000"]) == 2
+    assert time.perf_counter() - t0 < 10
+    assert capsys.readouterr().err == (
+        "error: the fit counts 1800006 dilations, over the budget of 1000 "
+        "states\n")
+    # period 2: 12 dilations
+    assert run_command(["ehrhart", square, "--alpha=1/2",
+                        "--max-states", "11"]) == 2
+    assert "12 dilations" in capsys.readouterr().err
+    assert run_command(["ehrhart", square, "--alpha=1/2",
+                        "--max-states", "12"]) == 0
+
+
 def test_cli_budget_overrun_exits_2(capsys):
     assert run_command(["growth", str(fixture_path("z3.net")), "--terms", "40",
                         "--max-states", "100"]) == 2

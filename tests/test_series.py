@@ -9,7 +9,8 @@ from perigraph.invariants import WellArrangedResult, well_arranged
 from perigraph.quotient import GraphError, Vertex, cumulative, growth_sequence
 from perigraph.series import (FitError, IntPolynomial, QuasiPolynomial,
                               RationalSeries, cumulative_series,
-                              density_cross_check, fit_rational, interpolate,
+                              density_cross_check, fit_quasi_polynomial,
+                              fit_rational, interpolate,
                               negative_evaluation, p_initial_denominator,
                               quasi_period_p_initial, rational_from_terms,
                               reciprocity_check, to_quasi_polynomial,
@@ -172,6 +173,64 @@ def test_qp_negative_index_residue():
 def test_interpolate():
     p = interpolate([(0, F(1)), (1, F(2)), (2, F(5))])
     assert p == P((1, 0, 1))
+
+
+def _lagrange(points):
+    """Lagrange interpolation through exact (x, y) pairs: the reference for
+    the Newton form of ``interpolate``."""
+    result = IntPolynomial(())
+    for i, (xi, yi) in enumerate(points):
+        basis = IntPolynomial([1])
+        denom = F(1)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            basis = basis * IntPolynomial([-xj, 1])
+            denom *= xi - xj
+        result = result + basis * (F(yi) / denom)
+    return result
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=7,
+                unique_by=lambda p: p[0]))
+def test_newton_interpolation_matches_lagrange(points):
+    assert interpolate(points) == _lagrange(points)
+
+
+def _first_mismatch(value, period, degree, valid_from, stop):
+    """The first index at which the fitted quasi-polynomial, evaluated
+    constituent by constituent in Fractions, misses ``value``: the check
+    fit_quasi_polynomial made before it compared in ints."""
+    qp = QuasiPolynomial(period, tuple(
+        interpolate([(i, value(i)) for i in range(
+            valid_from + (r - valid_from) % period,
+            valid_from + (r - valid_from) % period + period * (degree + 1),
+            period)]) for r in range(period)), valid_from)
+    return next((i for i in range(valid_from, stop)
+                 if qp.evaluate(i) != value(i)), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(-3, 3), st.data())
+def test_fit_fails_at_the_first_mismatch(period, degree, valid_from, data):
+    stop = valid_from + period * (degree + 3)
+    coeffs = [[data.draw(rationals) for _ in range(degree + 1)]
+              for _ in range(period)]
+    values = {i: P(coeffs[i % period]).evaluate(i)
+              for i in range(valid_from, stop)}
+    bad = data.draw(st.integers(valid_from, stop - 1))
+    values[bad] += data.draw(st.sampled_from([1, -1, F(1, 2)]))
+    # every class has two points past its interpolation nodes, so some
+    # index misses
+    expected = _first_mismatch(values.__getitem__, period, degree,
+                               valid_from, stop)
+    with pytest.raises(FitError, match=f"at {expected}$"):
+        fit_quasi_polynomial(values.__getitem__, period, degree, valid_from,
+                             stop)
 
 
 def test_quasi_period_helpers():
