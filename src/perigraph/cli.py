@@ -43,11 +43,6 @@ def _load_graph(args) -> QuotientGraph:
     return parse_net(_read(args.file))
 
 
-def _load_polytope(args):
-    hull, name = parse_polytope(_read(args.file))
-    return hull, name
-
-
 def _check_terms(args):
     """Refuse --terms or --guard below 1, for which every check would be
     vacuous."""
@@ -305,7 +300,10 @@ def cmd_density(args):
 
 def cmd_ehrhart(args):
     _check_terms(args)
-    poly, name = _load_polytope(args)
+    if args.terms > args.max_states:
+        raise ResourceLimit(f"--terms counts {args.terms} dilations, over "
+                            f"the budget of {args.max_states} states")
+    poly, name = parse_polytope(_read(args.file))
     shift = tuple(map(_rational, args.shift.split(","))) if args.shift \
         else (Fraction(0),) * poly.ambient_dim
     alpha = _rational(args.alpha)
@@ -327,7 +325,7 @@ def cmd_ehrhart(args):
 
 
 def cmd_gammaq(args):
-    poly, name = _load_polytope(args)
+    poly, name = parse_polytope(_read(args.file))
     graph = _ehrhart.gamma_q(poly, name or "gamma_q",
                              max_states=args.max_states)
     text = emit_net(graph)

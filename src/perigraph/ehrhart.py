@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .field import _cleared, exact_floor
-from .geometry import lattice_scan, origin_interior, vdot
+from .geometry import _scan, origin_interior, vdot
 from .quotient import EdgeRecord, QuotientGraph, ResourceLimit
 from .series import QuasiPolynomial, fit_quasi_polynomial
 
@@ -26,9 +26,9 @@ def _points(P, v, t, strict, collect):
     (``Polytope._integer_rows``), a row a.x <= b of P reads
     D a.x <= L a.(q v) + (q t)(L b) on v + t*P, D = q L, with every term an
     int (its parts ints for a QuadExt v or t).  So each right side and box
-    bound is rounded by one ``//``: down for a closed row and the upper
-    bound, up for a strict row (``lattice_scan`` reads a.x < ceil) and the
-    lower bound."""
+    bound is rounded by one ``//`` for ``_scan``: down for a closed row and
+    the upper bound, up for the lower bound, and a strict row a.x < R / D
+    reads a.x <= ceil(R / D) - 1."""
     if len(v) != P.ambient_dim:
         raise ValueError(f"shift has {len(v)} coordinates, the polytope "
                          f"has {P.ambient_dim}")
@@ -51,12 +51,14 @@ def _points(P, v, t, strict, collect):
         if r * D != R:
             return [] if collect else 0
         eqs.append((e, r))
-    round_row = up if strict else down
-    ineqs = [(a, round_row(L * vdot(a, qv) + qt * b), strict)
-             for a, b in facets]
+    def below(R):  # the greatest int < R / D
+        return up(R) - 1
+
+    round_row = below if strict else down
+    ineqs = [(a, round_row(L * vdot(a, qv) + qt * b)) for a, b in facets]
     box_lo = tuple(up(L * x + qt * m) for x, m in zip(qv, lo))
     box_hi = tuple(down(L * x + qt * m) for x, m in zip(qv, hi))
-    return lattice_scan(eqs, ineqs, box_lo, box_hi, collect=collect)
+    return _scan(eqs, ineqs, box_lo, box_hi, collect=collect)
 
 
 def count(P, v, t) -> int:

@@ -8,8 +8,7 @@ hull: the points are projected onto coordinates independent on their span,
 hulled there, and the facets spread back.  Ranks, normals and span frames
 come from the one elimination of ``field``.  Faces are read off a
 polytope's facet incidences; a half-open region lists its lattice points
-from the Hermite form of its generators, or scans its box with its integer
-membership forms.
+from the Hermite form of its generators.
 """
 
 from __future__ import annotations
@@ -263,63 +262,49 @@ def volume(poly: Polytope):
     return Fraction(total, factorial(poly.ambient_dim))
 
 
-def _region_frame(n, generators, extents):
-    """Integer tests for rel in R^n to be sum_j [0, extent_j) * gen_j: (forms,
-    equalities, D, cells) with rel inside iff 0 <= form . rel < D for every
-    form and e . rel == 0 for every equality.
-
-    The extents are folded into the generators, so the coefficients over the
-    span frame of the folded generators (``_span_frame``) lie in [0, 1).
-    cells is (folded rows, diagonal of their Hermite form) when they are n
-    integral vectors, else None.
-    """
-    if any(e <= 0 for e in extents):
-        raise ValueError("region extents must be positive")
-    folded = [[e * x for x in g] for g, e in zip(generators, extents)]
-    cells = None
-    if len(folded) == n and all(x.denominator == 1 for g in folded for x in g):
-        rows = [tuple(map(int, g)) for g in folded]
-        cells = rows, [r[i] for i, r in enumerate(hermite(rows))]
-    return (*_span_frame(folded, n)[1:], cells)
-
-
 @dataclass(frozen=True)
 class HalfOpenRegion:
-    """base + sum_i [0, extent_i) * gen_i with independent generators.
+    """base + sum_j [0, 1) * gen_j: a half-open parallelepiped on n
+    independent integral generators in R^n.
 
-    ``generators`` and ``extents`` are int or rational, extents positive;
-    ``base`` may also have QuadExt coordinates.  The generators are turned
-    into integer forms once, at construction (``_region_frame``); with q a
+    ``base`` is exact: int, Fraction or QuadExt coordinates.  The generators
+    are stored as int vectors, and their frame is built once, at
+    construction: the forms f_j with rel = sum_j (f_j . rel / D) gen_j
+    (``_span_frame``) and the diagonal of their Hermite form.  With q a
     common denominator of the base, membership is then a few int dot
     products against offsets and the bound q * D, all ints for a rational
     base.  A point may have int, Fraction or QuadExt coordinates.  c2's
-    regions have int generators (cycle vectors d_v * v), and c2 reads each
+    regions are spanned by cycle vectors d_v * v, and c2 reads each
     target's gauge off the row of the facet whose cone holds its region.
     """
 
     base: tuple
-    generators: tuple        # int or rational vectors
-    extents: tuple           # positive ints or rationals
+    generators: tuple        # n integral vectors
     _frame: tuple = field(init=False, repr=False, compare=False)
     _tests: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = len(self.base)
+        if len(self.generators) != n:
+            raise ValueError(f"a region in R^{n} needs {n} generators, "
+                             f"got {len(self.generators)}")
+        if any(x % 1 for g in self.generators for x in g):
+            raise ValueError("region generators must be integral")
+        gens = tuple(tuple(map(int, g)) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
+        _, forms, _, bound = _span_frame(gens, n)
+        diag = [r[i] for i, r in enumerate(hermite(gens))]
         q, (qbase,) = _cleared([self.base])
-        self._place(_region_frame(len(self.base), self.generators,
-                                  self.extents), q, qbase)
+        self._place((forms, bound, diag), q, qbase)
 
     def _place(self, frame, q, qbase):
-        forms, equalities, bound, _ = frame
+        forms, bound, _ = frame
         # qbase = q * base has integral rational parts: rational offsets are
         # ints, an irrational base (a QuadExt realization) keeps QuadExt ones
-
-        def scaled(form):
-            return tuple(q * x for x in form), vdot(form, qbase)
-
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_tests", (
-            tuple(map(scaled, equalities)), tuple(map(scaled, forms)),
-            q * bound))
+            tuple((tuple(q * x for x in form), vdot(form, qbase))
+                  for form in forms), q * bound))
 
     def translated(self, shift, q=1):
         """The region moved by shift / q, reusing this region's frame; no
@@ -334,10 +319,7 @@ class HalfOpenRegion:
         return moved
 
     def contains(self, point):
-        equalities, forms, bound = self._tests
-        for form, rhs in equalities:
-            if sum(map(mul, form, point)) != rhs:
-                return False
+        forms, bound = self._tests
         for form, off in forms:
             s = sum(map(mul, form, point)) - off
             if s < 0 or s >= bound:
@@ -347,52 +329,32 @@ class HalfOpenRegion:
     def support(self, point):
         """Bit mask of the generators with a nonzero coefficient at a point
         of the region."""
-        return sum(1 << j for j, (form, off) in enumerate(self._tests[1])
+        return sum(1 << j for j, (form, off) in enumerate(self._tests[0])
                    if sum(map(mul, form, point)) != off)
 
     def integer_points(self):
         """Integer points of the region in lexicographic order.
 
-        With n integral generators g_j (extents folded in) and a rational
-        base the region is a fundamental domain of their lattice G, one point
-        per class of Z^n / G (Beck & Robins, Computing the Continuous
-        Discretely, ch. 3).  The r with 0 <= r_i < H_ii, H the Hermite form
-        of G, are one of each class, and r - sum_j floor((f_j.r - off_j) / B)
-        g_j is its point.
-        Other regions scan their box: for integral u, 0 <= f.u - off < B
-        reads f.u < off + B and -f.u <= -off."""
-        equalities, forms, bound = self._tests
-        cells = self._frame[3]
-        if cells and all(type(off) is int for _, off in forms):
-            gens, diag = cells
-            points = []
-            for r in product(*map(range, diag)):
-                p = list(r)
-                for (form, off), g in zip(forms, gens):
-                    k = (sum(map(mul, form, r)) - off) // bound
-                    if k:
-                        p = [x - k * y for x, y in zip(p, g)]
-                points.append(tuple(p))
-            points.sort()
-            return points
-        ineqs = []
-        for form, off in forms:
-            ineqs.append((form, off + bound, True))
-            ineqs.append((tuple(-x for x in form), -off, False))
-        return lattice_scan(equalities, ineqs, *self.bounding_box(),
-                            collect=True)
-
-    def bounding_box(self):
-        n = len(self.base)
-        lo, hi = list(self.base), list(self.base)
-        for g, e in zip(self.generators, self.extents):
-            for c in range(n):
-                step = e * g[c]
-                if scalar_sign(step) > 0:
-                    hi[c] = hi[c] + step
-                else:
-                    lo[c] = lo[c] + step
-        return tuple(lo), tuple(hi)
+        The region is a fundamental domain of the generators' lattice G for
+        any real base, one point per class of Z^n / G (Beck & Robins,
+        Computing the Continuous Discretely, ch. 3).  The r with 0 <= r_i <
+        H_ii, H the Hermite form of G, are one of each class, and r -
+        sum_j floor((f_j.r - off_j) / B) g_j is its point, with (f_j, off_j)
+        and B = q * D the membership tests.  f_j.r is an int, so
+        floor(f_j.r - off_j) = f_j.r - ceil(off_j) for an irrational offset
+        as well."""
+        forms, bound = self._tests
+        offs = [(form, exact_ceil(off)) for form, off in forms]
+        points = []
+        for r in product(*map(range, self._frame[2])):
+            p = list(r)
+            for (form, off), g in zip(offs, self.generators):
+                k = (sum(map(mul, form, r)) - off) // bound
+                if k:
+                    p = [x - k * y for x, y in zip(p, g)]
+            points.append(tuple(p))
+        points.sort()
+        return points
 
 
 def integer_box(lo, hi):
@@ -519,12 +481,12 @@ def _count_slice(upper, lower, rows, xlo, xhi, cs):
 def _scan(eqs, ineqs, lo, hi, collect=False):
     """Integer points satisfying e.x == f and a.x <= b inside box [lo, hi].
 
-    All coefficients and right sides integral; ``lattice_scan`` rounds exact
-    right sides and boxes to this form.  The leaf resolves the last coordinate
-    by interval arithmetic.  A count (collect=False) of a system without
-    equalities resolves the last two coordinates of each slice by exact
-    floor sums (``_count_slice``), so it takes O(t^(n-2)) slices in place of
-    O(t^(n-1)) leaves.
+    All coefficients, right sides and box bounds are ints;
+    ``ehrhart._points`` rounds a polytope's rows to this form.  The leaf
+    resolves the last coordinate by interval arithmetic.  A count
+    (collect=False) of a system without equalities resolves the last two
+    coordinates of each slice by exact floor sums (``_count_slice``), so it
+    takes O(t^(n-2)) slices in place of O(t^(n-1)) leaves.
     """
     n = len(lo)
     if n == 0:
@@ -582,28 +544,3 @@ def _scan(eqs, ineqs, lo, hi, collect=False):
     prefix = []
     rec(0, [f for _, f in eqs], [b for _, b in ineqs])
     return points if collect else count
-
-
-def lattice_scan(eqs, ineqs, lo, hi, collect=False):
-    """Integer points x with e.x == f for every (e, f) in ``eqs`` and a.x <= b
-    (a.x < b when strict) for every (a, b, strict) in ``ineqs``, inside the
-    box [lo, hi]: the list in lexicographic order when ``collect`` is set,
-    else their number.
-
-    Normals are int rows; right sides and box bounds are exact scalars
-    (rational or QuadExt).  They are rounded once for ``_scan``: a closed row
-    to floor(b), a strict one to ceil(b) - 1, the box to (ceil(lo),
-    floor(hi)); an equality with a non-integer right side has no points.
-    Int right sides and bounds, which the Ehrhart counts pass, round to
-    themselves without building a Fraction.
-    """
-    int_eqs = []
-    for e, f in eqs:
-        r = exact_floor(f)
-        if r != f:
-            return [] if collect else 0
-        int_eqs.append((e, r))
-    int_ineqs = [(a, exact_ceil(b) - 1 if strict else exact_floor(b))
-                 for a, b, strict in ineqs]
-    return _scan(int_eqs, int_ineqs, tuple(map(exact_ceil, lo)),
-                 tuple(map(exact_floor, hi)), collect=collect)

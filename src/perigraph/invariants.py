@@ -135,15 +135,6 @@ def _general_vertex_weights(graph, max_cycles):
     return out
 
 
-def _generators(ds, simplex):
-    """d_v * v for the vertices v of a simplex: int vectors when every one
-    is a lattice vector, as a cycle vector is, else rational ones."""
-    gens = tuple(tuple(d * c for c in v) for d, v in zip(ds, simplex))
-    if all(x.denominator == 1 for g in gens for x in g):
-        return tuple(tuple(x.numerator for x in g) for g in gens)
-    return gens
-
-
 def region_from_triangulations(graph, polytope, d_map):
     """Half-open union: over facets and fan simplices from each facet's
     lex-min vertex, sum of [0,1) d_v v, as (facet index, region) pairs."""
@@ -151,8 +142,8 @@ def region_from_triangulations(graph, polytope, d_map):
     regions = []
     for i in range(len(polytope.facets)):
         for simplex in triangulate_facet(polytope, i):
-            gens = _generators([d_map[v] for v in simplex], simplex)
-            regions.append((i, HalfOpenRegion(origin, gens, (1,) * len(gens))))
+            gens = tuple(vscale(d_map[v], v) for v in simplex)
+            regions.append((i, HalfOpenRegion(origin, gens)))
     return regions
 
 
@@ -403,10 +394,8 @@ def _wa_condition(graph, x0, d_map, simplex, ball_cache, max_states):
     ds = [d_map[v] for v in simplex]
     full_sum = sum(ds)
     dist0 = _class_ball(graph, x0.cls, full_sum, ball_cache, max_states)
-    gens = _generators(ds, simplex)
-    if not all(type(x) is int for g in gens for x in g):
-        return False  # d_v * v must be a lattice vector
-    region = HalfOpenRegion((0,) * graph.rank, gens, (1,) * len(gens))
+    region = HalfOpenRegion((0,) * graph.rank, tuple(map(vscale, ds, simplex)))
+    gens = region.generators
     points = [(y, moved.support(y.offset))
               for y, _, moved in vertices_in_regions(graph, x0, [region])]
     for mask in range(1, 1 << len(simplex)):

@@ -14,7 +14,7 @@ from perigraph.ehrhart import count, count_interior, lattice_points_of
 from perigraph.field import (QuadExt, det, matrix_rank, scalar_sign,
                              solve_linear)
 from perigraph.geometry import (HalfOpenRegion, Polytope, convex_hull, gauge,
-                                integer_box, lattice_scan, origin_interior,
+                                integer_box, origin_interior,
                                 triangulate_facet, vadd, vdot, volume, vsub)
 
 
@@ -151,22 +151,14 @@ def test_triangulate_facet_covers_polygon_facet():
 
 def test_half_open_region_membership_oracle():
     base = (F(0), F(0))
-    r = HalfOpenRegion(base, ((F(2), F(0)), (F(1), F(1))), (F(1), F(1)))
+    r = HalfOpenRegion(base, ((F(2), F(0)), (F(1), F(1))))
+    assert r.generators == ((2, 0), (1, 1))
     # brute force: points p = a*(2,0) + b*(1,1), 0 <= a,b < 1
     assert r.contains((F(0), F(0)))
     assert r.contains((F(3, 2), F(1, 2)))    # a = 1/2, b = 1/2
     assert not r.contains((F(2), F(0)))      # a = 1 excluded
     assert not r.contains((F(1), F(1)))      # b = 1 excluded
     assert not r.contains((F(-1, 10), F(0)))
-    lo, hi = r.bounding_box()
-    assert lo == (F(0), F(0)) and hi == (F(3), F(1))
-
-
-def test_half_open_region_lower_dim():
-    r = HalfOpenRegion((F(0), F(0)), ((F(1), F(1)),), (F(2),))
-    assert r.contains((F(3, 2), F(3, 2)))
-    assert not r.contains((F(3, 2), F(1)))   # off the span
-    assert not r.contains((F(2), F(2)))      # extent excluded
 
 
 def test_integer_box():
@@ -220,7 +212,7 @@ def test_volume_unimodular_invariance():
 
 def _reference_contains(region, point):
     """Membership by exact elimination: solve for the coefficients, check
-    the reconstruction, then 0 <= lambda_j < extent_j."""
+    the reconstruction, then 0 <= lambda_j < 1."""
     rel = [p - b for p, b in zip(point, region.base)]
     gens = region.generators
     rows = [[g[c] for g in gens] for c in range(len(rel))]
@@ -230,29 +222,32 @@ def _reference_contains(region, point):
     recon = [sum(l * g[c] for l, g in zip(lam, gens)) for c in range(len(rel))]
     if any(scalar_sign(r - x) != 0 for r, x in zip(recon, rel)):
         return False
-    return all(scalar_sign(l) >= 0 and scalar_sign(l - e) < 0
-               for l, e in zip(lam, region.extents))
+    return all(scalar_sign(l) >= 0 and scalar_sign(l - 1) < 0 for l in lam)
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coefficient = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(4, 3), F(-1, 2)])
 
 
+def integral_generators(draw, n, bound):
+    """n independent int vectors in R^n with entries in [-bound, bound]."""
+    gens = tuple(tuple(draw(st.integers(-bound, bound)) for _ in range(n))
+                 for _ in range(n))
+    assume(matrix_rank(gens) == n)
+    return gens
+
+
 @st.composite
 def regions_and_points(draw):
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, n))
-    gens = tuple(tuple(draw(small) for _ in range(n)) for _ in range(k))
-    assume(matrix_rank(gens) == k)
-    extents = tuple(draw(st.sampled_from([F(1), F(1, 2), F(3), F(5, 3)]))
-                    for _ in range(k))
+    gens = integral_generators(draw, n, 4)
     base = tuple(draw(small) for _ in range(n))
-    region = HalfOpenRegion(base, gens, extents)
+    region = HalfOpenRegion(base, gens)
     points = []
     for _ in range(8):
-        # a combination of the generators hits the boundary cases 0 and
-        # extent; a perturbation leaves the span when k < n
-        lam = [draw(coefficient) * e for e in extents]
+        # a combination of the generators hits the boundary cases 0 and 1;
+        # a perturbation moves it off the lattice of the combinations
+        lam = [draw(coefficient) for _ in gens]
         p = [b + sum(l * g[c] for l, g in zip(lam, gens))
              for c, b in enumerate(base)]
         if draw(st.booleans()):
@@ -278,18 +273,19 @@ def test_half_open_region_matches_elimination(case, draw_irrational):
         shift = (shift[0] + QuadExt(2, 0, F(2, 9)),) + shift[1:]
     moved = region.translated(shift)
     assert moved == HalfOpenRegion(vadd(region.base, shift),
-                                   region.generators, region.extents)
+                                   region.generators)
     for p in points:
         q = vadd(p, shift)
         assert moved.contains(q) == _reference_contains(region, p)
 
 
 def test_half_open_region_rejects_bad_frames():
-    with pytest.raises(ValueError):
-        HalfOpenRegion((F(0), F(0)), ((F(1), F(2)), (F(2), F(4))),
-                       (F(1), F(1)))
-    with pytest.raises(ValueError):
-        HalfOpenRegion((F(0), F(0)), ((F(1), F(0)),), (F(0),))
+    with pytest.raises(ValueError, match="independent"):
+        HalfOpenRegion((F(0), F(0)), ((F(1), F(2)), (F(2), F(4))))
+    with pytest.raises(ValueError, match="needs 2 generators, got 1"):
+        HalfOpenRegion((F(0), F(0)), ((F(1), F(0)),))
+    with pytest.raises(ValueError, match="integral"):
+        HalfOpenRegion((F(0), F(0)), ((F(1), F(0)), (F(1, 2), F(1))))
 
 
 def _combinations_sel(vectors, n):
@@ -480,18 +476,26 @@ def test_lattice_points_match_box_filter(pts, data):
                                                     for p in box)
 
 
+def _box_scan(region):
+    """The region's points by a filter of its box, spanned from the base by
+    the negative and the positive parts of the generators."""
+    lo, hi = list(region.base), list(region.base)
+    for g in region.generators:
+        for c, x in enumerate(g):
+            if x > 0:
+                hi[c] += x
+            else:
+                lo[c] += x
+    return [p for p in integer_box(lo, hi) if region.contains(p)]
+
+
 @st.composite
 def scan_regions(draw):
-    """Full and lower-dimensional regions in 1-3 D, with a rational base or
-    one translated by an irrational vector."""
+    """Regions in 1-3 D, with a rational base or one translated by an
+    irrational vector."""
     n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, n))
-    gens = tuple(tuple(draw(small) for _ in range(n)) for _ in range(k))
-    assume(matrix_rank(gens) == k)
-    extents = tuple(draw(st.sampled_from([F(1), F(1, 2), F(3), F(5, 3)]))
-                    for _ in range(k))
-    region = HalfOpenRegion(tuple(draw(small) for _ in range(n)), gens,
-                            extents)
+    gens = integral_generators(draw, n, 4)
+    region = HalfOpenRegion(tuple(draw(small) for _ in range(n)), gens)
     if draw(st.booleans()):
         shift = [draw(small) for _ in range(n)]
         shift[draw(st.integers(0, n - 1))] += QuadExt(
@@ -503,8 +507,7 @@ def scan_regions(draw):
 @settings(max_examples=150, deadline=None)
 @given(scan_regions())
 def test_region_scan_matches_box_filter(region):
-    reference = [p for p in integer_box(*region.bounding_box())
-                 if region.contains(p)]
+    reference = _box_scan(region)
     assert region.integer_points() == reference
     for p in reference:
         rel = [x - b for x, b in zip(p, region.base)]
@@ -515,18 +518,10 @@ def test_region_scan_matches_box_filter(region):
 
 
 def test_region_scan_irrational_base():
-    # the segment from (sqrt(2), 0) along (1, 1) lies on y - x = -sqrt(2),
-    # which holds no integer point
-    r = HalfOpenRegion((QuadExt(2, 0, 1), F(0)), ((F(1), F(1)),), (F(5),))
-    assert r.integer_points() == []
-    # along (1, 0) the equality is y = 1, and x runs over [sqrt(2), sqrt(2)+3)
-    r = HalfOpenRegion((QuadExt(2, 0, 1), F(1)), ((F(1), F(0)),), (F(3),))
-    assert r.integer_points() == [(2, 1), (3, 1), (4, 1)]
     # a unimodular cell at (sqrt(2), 0): its coefficients x - y - sqrt(2)
     # and 2y - x + sqrt(2) lie in [0, 1) only at (3, 1); (2, 0) in the box
     # misses both lower bounds by less than one
-    r = HalfOpenRegion((QuadExt(2, 0, 1), F(0)), ((F(2), F(1)), (F(1), F(1))),
-                       (F(1), F(1)))
+    r = HalfOpenRegion((QuadExt(2, 0, 1), F(0)), ((F(2), F(1)), (F(1), F(1))))
     assert r.integer_points() == [(3, 1)]
 
 
@@ -740,57 +735,34 @@ def test_triangulation_builds_no_hull():
 
 # -- parallelepiped points from the Hermite form, against a box scan ------
 
-def _box_scan(region):
-    """The region's points by a scan of its box under its integer tests."""
-    equalities, forms, bound = region._tests
-    ineqs = []
-    for form, off in forms:
-        ineqs.append((form, off + bound, True))
-        ineqs.append((tuple(-x for x in form), -off, False))
-    return lattice_scan(equalities, ineqs, *region.bounding_box(),
-                        collect=True)
-
-
 @st.composite
 def lattice_cells(draw):
-    """Half-open parallelepipeds in 1-3 D with a rational base: full-rank
-    ones whose folded generators are integral with |det| > 1 (listed from
-    the Hermite form), and lower-dimensional, non-integral or irrationally
-    translated ones (scanned)."""
+    """Half-open parallelepipeds in 1-3 D on integral generators with
+    |det| > 1, with a rational base, moved by an integer vector or by an
+    irrational one: all listed from the Hermite form."""
     n = draw(st.integers(1, 3))
-    k = draw(st.sampled_from([n, n, n, max(1, n - 1)]))
-    gens = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(n))
-                 for _ in range(k))
-    assume(matrix_rank(gens) == k)
-    extents = tuple(draw(st.sampled_from([F(1), F(1), F(2), F(1, 2)]))
-                    for _ in range(k))
-    folded = [[e * x for x in g] for g, e in zip(gens, extents)]
-    integral = all(x.denominator == 1 for g in folded for x in g)
-    assume(k < n or not integral or abs(det(folded)) > 1)
+    gens = integral_generators(draw, n, 3)
+    assume(abs(det(gens)) > 1)
     base = tuple(draw(st.fractions(min_value=-3, max_value=3,
                                    max_denominator=4)) for _ in range(n))
-    region = HalfOpenRegion(base, gens, extents)
-    irrational = draw(st.booleans()) and draw(st.booleans())
-    if irrational:
+    region = HalfOpenRegion(base, gens)
+    if draw(st.booleans()) and draw(st.booleans()):
         shift = [F(0)] * n
         shift[draw(st.integers(0, n - 1))] = QuadExt(2, 0, F(1, 3))
         region = region.translated(tuple(shift))
     elif draw(st.booleans()):
         region = region.translated(tuple(draw(st.integers(-2, 2))
                                          for _ in range(n)))
-    return region, k == n and integral and not irrational, abs(det(folded))
+    return region, abs(det(gens))
 
 
 @settings(max_examples=200, deadline=None)
 @given(lattice_cells())
 def test_region_points_from_hermite_match_box_scan(case):
-    region, listed, volume_ = case
+    region, volume_ = case
     reference = _box_scan(region)
-    if listed:
-        # one point per class of Z^n modulo the generators' lattice
-        assert len(reference) == volume_
-        with mock.patch.object(geometry, "lattice_scan",
-                               side_effect=AssertionError("scanned")):
-            assert region.integer_points() == reference
-    else:
+    # one point per class of Z^n modulo the generators' lattice
+    assert len(reference) == volume_
+    with mock.patch.object(geometry, "_scan",
+                           side_effect=AssertionError("scanned")):
         assert region.integer_points() == reference

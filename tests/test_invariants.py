@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from perigraph import geometry, invariants, parse_net
 from perigraph.cycles import growth_polytope, p_initial, p_initial_data
 from perigraph.geometry import volume
-from perigraph.field import QuadExt
+from perigraph.field import QuadExt, matrix_rank
 from perigraph.geometry import (HalfOpenRegion, gauge, integer_box,
                                 triangulate_facet, vadd, vdot, vscale, vsub)
 from perigraph.invariants import (alpha_ehrhart_window, asymptotic_constants,
@@ -217,25 +217,29 @@ def test_c1_stable_under_larger_balls(z2, dia):
 
 def _wa_condition_per_subset(graph, x0, d_map, simplex, ball_cache,
                              max_states):
-    """The well-arranged check with one region and one box scan per subset
-    of the simplex: the reference for the single scan of _wa_condition."""
+    """The well-arranged check with one box scan per subset of the simplex:
+    the reference for the single scan of _wa_condition.  A point lies in
+    the region of a subset S when it lies in the simplex's region and in the
+    span of S's generators."""
     origin = (F(0),) * graph.rank
     full_sum = sum(d_map[v] for v in simplex)
     dist0 = invariants._class_ball(graph, x0.cls, full_sum, ball_cache,
                                    max_states)
+    region = HalfOpenRegion(origin, tuple(tuple(d_map[v] * c for c in v)
+                                          for v in simplex))
     for mask in range(1, 1 << len(simplex)):
         subset = [v for j, v in enumerate(simplex) if mask >> j & 1]
         total = sum(d_map[v] for v in subset)
-        gens = tuple(tuple(d_map[v] * c for c in v) for v in subset)
+        gens = [tuple(d_map[v] * c for c in v) for v in subset]
         step = [sum(col) for col in zip(*gens)]
-        if any(x.denominator != 1 for x in step):
-            return False
-        region = HalfOpenRegion(origin, gens, (F(1),) * len(gens))
-        lo, hi = region.bounding_box()
+        lo = [sum(min(x, 0) for x in col) for col in zip(*gens)]
+        hi = [sum(max(x, 0) for x in col) for col in zip(*gens)]
         for cls in range(graph.num_classes):
             delta = invariants._delta(graph, x0, cls)
             for u in integer_box(vsub(lo, delta), vsub(hi, delta)):
-                if not region.contains(vadd(delta, u)):
+                rel = vadd(delta, u)
+                if (not region.contains(rel)
+                        or matrix_rank(gens + [rel]) > len(gens)):
                     continue
                 # y = x0 + u; z = x0 + step, so z - y = step - u
                 d1 = dist0.get(Vertex(cls, u))

@@ -269,6 +269,14 @@ def test_cli_ehrhart_budget_exits_2(capsys):
     assert "12 dilations" in capsys.readouterr().err
     assert run_command(["ehrhart", square, "--alpha=1/2",
                         "--max-states", "12"]) == 0
+    # --terms is counted before the fit, so it is refused before any count
+    t0 = time.perf_counter()
+    assert run_command(["ehrhart", square, "--terms", "3000000",
+                        "--max-states", "1000"]) == 2
+    assert time.perf_counter() - t0 < 10
+    assert capsys.readouterr().err == (
+        "error: --terms counts 3000000 dilations, over the budget of 1000 "
+        "states\n")
 
 
 def test_cli_budget_overrun_exits_2(capsys):
